@@ -65,7 +65,8 @@ type (
 	// SynopsisNodeID identifies a synopsis node.
 	SynopsisNodeID = graphsyn.NodeID
 	// EstimateResult is one query's estimate with its truncation flag
-	// (Sketch.EstimateQueryResult, Sketch.EstimateBatch).
+	// (Sketch.EstimateQueryResult, Sketch.EstimateBatch,
+	// Sketch.EstimatePlanContext, Sketch.EstimateBatchPlannedContext).
 	EstimateResult = core.EstimateResult
 	// EstimatorStats reports the estimation cache's lifetime counters
 	// (Sketch.EstimatorStats).
@@ -233,7 +234,8 @@ func Explain(sk *Sketch, q *Query) *Explanation { return sk.ExplainQuery(q) }
 // DESIGN.md §11). Plans come from Sketch.PlanQuery / PlanQueryText, are
 // cached per sketch in a generation-checked LRU, and execute bit-identical
 // to EstimateQuery with zero steady-state allocations on cache hits
-// (Sketch.EstimateQueryPlanned, Sketch.EstimateBatchPlanned).
+// (Sketch.EstimatePlanContext, Sketch.EstimateQueryPlanned,
+// Sketch.EstimateBatchPlannedContext).
 type (
 	// Plan is a compiled, executable form of one twig query against one
 	// sketch state, safe for concurrent execution.

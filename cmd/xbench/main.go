@@ -67,7 +67,6 @@ func main() {
 		paper   = flag.Bool("paper", false, "use the paper-scale configuration (slow)")
 		steps   = flag.Int("steps", 300, "max XBUILD refinement steps")
 		workers = flag.Int("workers", 0, "estimation workers for workload scoring (0 = GOMAXPROCS)")
-		planned = flag.Bool("planned", false, "score workloads through the compiled-plan cache (bit-identical, faster on repeated shapes)")
 	)
 	flag.Parse()
 
@@ -85,7 +84,6 @@ func main() {
 		opts.Seed = *seed
 	}
 	opts.Workers = *workers
-	opts.Planned = *planned
 
 	run := func(name string, fn func()) {
 		start := time.Now()

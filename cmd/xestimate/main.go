@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -117,7 +118,11 @@ func main() {
 		est = ex.Estimate
 	} else if *plan {
 		p := sk.PlanQuery(q)
-		res := sk.EstimatePlan(p)
+		res, err := sk.EstimatePlanContext(context.Background(), p)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		est = res.Estimate
 		fmt.Printf("plan:      %s\n", p)
 	} else {

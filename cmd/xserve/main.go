@@ -393,8 +393,6 @@ func main() {
 		maxBatch      = flag.Int("max-batch", 4096, "max queries per batch request")
 		workers       = flag.Int("workers", 0, "batch estimation workers (0 = GOMAXPROCS)")
 		pprofOn       = flag.Bool("pprof", true, "mount /debug/pprof")
-		planCache     = flag.Bool("plan-cache", true, "serve estimates from per-sketch compiled-plan caches (bit-identical to the interpreter)")
-		planCacheSize = flag.Int("plan-cache-size", core.DefaultPlanCacheSize, "compiled plans retained per sketch")
 		logMode       = flag.String("log", "json", "request logging: json (stderr) or off")
 		drainTimeout  = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain limit")
 	)
@@ -463,15 +461,6 @@ func main() {
 		}
 		served = append(served, sk)
 	}
-	for i := range served {
-		if *planCache {
-			//lint:allow sketchmutate startup configuration before the sketch is shared, not a histogram mutation
-			served[i].Sketch.Cfg.PlanCacheSize = *planCacheSize
-		} else {
-			//lint:allow sketchmutate startup configuration before the sketch is shared, not a histogram mutation
-			served[i].Sketch.Cfg.PlanCacheSize = -1
-		}
-	}
 
 	var auditFile *os.File
 	var auditCfg *accuracy.Config
@@ -500,7 +489,6 @@ func main() {
 		MaxBodyBytes:    *maxBody,
 		MaxBatchQueries: *maxBatch,
 		BatchWorkers:    *workers,
-		DisablePlanner:  !*planCache,
 		EnablePprof:     *pprofOn,
 		CatalogDir:      *catalogDir,
 		Logger:          logger,

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -256,10 +257,18 @@ func Decode(r io.Reader) (*xsketch.Sketch, Info, error) {
 	if err != nil {
 		return nil, Info{}, err
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The buffer grows with the bytes actually read: a corrupt header may
+	// claim up to maxPayload bytes, which must not be allocated up front.
+	var buf bytes.Buffer
+	buf.Grow(int(min(payloadLen, 1<<16)))
+	n, err := buf.ReadFrom(io.LimitReader(r, int64(payloadLen)))
+	if err != nil {
 		return nil, Info{}, fmt.Errorf("%w: reading %d-byte payload: %v", ErrTruncated, payloadLen, err)
 	}
+	if uint64(n) != payloadLen {
+		return nil, Info{}, fmt.Errorf("%w: payload has %d of %d bytes", ErrTruncated, n, payloadLen)
+	}
+	payload := buf.Bytes()
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, Info{}, fmt.Errorf("%w: computed %08x, header says %08x", ErrChecksum, got, sum)
 	}

@@ -34,10 +34,6 @@ type Options struct {
 	// Workers is the estimation worker count used when scoring workloads
 	// on a synopsis (Sketch.EstimateBatch); <= 0 selects GOMAXPROCS.
 	Workers int
-	// Planned scores workloads through the compiled-plan cache
-	// (Sketch.EstimateBatchPlanned) instead of the interpreter. Results
-	// are bit-identical; repeated-shape workloads run faster.
-	Planned bool
 }
 
 // DefaultOptions returns a laptop-scale configuration: ~5k-element
@@ -217,7 +213,7 @@ func (o Options) sweepSketch(doc *xmltree.Document, w *workload.Workload, mutate
 
 // scoreXSketch evaluates the workload on the sketch's concurrent batch
 // path (o.Workers <= 0 selects GOMAXPROCS); estimates are bit-identical to
-// the sequential path for any worker count, planned or interpreted.
+// the sequential path for any worker count.
 func scoreXSketch(sk *xsketch.Sketch, w *workload.Workload, outlierCap float64, o Options) float64 {
 	ests := estimateWorkload(sk, w, o)
 	results := make([]metrics.Result, len(w.Queries))
@@ -227,15 +223,11 @@ func scoreXSketch(sk *xsketch.Sketch, w *workload.Workload, outlierCap float64, 
 	return metrics.Evaluate(results, outlierCap).AvgError
 }
 
-// estimateWorkload runs a workload's queries through the sketch's batch
-// path — compiled plans when o.Planned is set, the interpreter otherwise.
+// estimateWorkload runs a workload's queries through Sketch.EstimateBatch.
 func estimateWorkload(sk *xsketch.Sketch, w *workload.Workload, o Options) []xsketch.EstimateResult {
 	qs := make([]*twig.Query, len(w.Queries))
 	for i, q := range w.Queries {
 		qs[i] = q.Twig
-	}
-	if o.Planned {
-		return sk.EstimateBatchPlanned(qs, o.Workers)
 	}
 	return sk.EstimateBatch(qs, o.Workers)
 }

@@ -9,7 +9,7 @@ import (
 
 // CtxFlow checks that exported ...Context functions actually propagate
 // their context. The estimator and serving layers expose context-aware
-// entry points (EstimateQueryContext, EstimateBatchPlannedContext, the
+// entry points (EstimatePlanContext, EstimateBatchPlannedContext, the
 // plan executor's EstimateContext) whose whole contract is cooperative
 // cancellation: a request that drops its ctx — by calling
 // context.Background()/TODO(), by passing some other context into a

@@ -64,10 +64,17 @@ func newStub(t *testing.T, status int, body string) *httptest.Server {
 	return ts
 }
 
+// replicaMaxConcurrent pins the test replicas' admission limit above the
+// concurrency any router test drives at one replica (the bit-identity
+// test sends up to 16 requests at once), so results never depend on the
+// host's GOMAXPROCS-derived default and no replica sheds with 429.
+const replicaMaxConcurrent = 64
+
 // newTestReplica builds a real xserve replica over a shared sketch.
 func newTestReplica(t *testing.T, sk *core.Sketch) *httptest.Server {
 	t.Helper()
-	s, err := serve.New(serve.Config{}, []serve.Sketch{{Name: "imdb", Source: "test", Sketch: sk}})
+	cfg := serve.Config{MaxConcurrent: replicaMaxConcurrent}
+	s, err := serve.New(cfg, []serve.Sketch{{Name: "imdb", Source: "test", Sketch: sk}})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}

@@ -12,7 +12,8 @@
 // The serving path is hardened the way a production estimator sidecar
 // must be: request bodies are size-limited, every estimate runs under a
 // per-request timeout whose context cancellation propagates into the
-// estimation engine (Sketch.EstimateQueryContext), and admission is a
+// estimation engine (Sketch.EstimatePlanContext, or
+// Sketch.EstimateQueryTraced for ?explain=true), and admission is a
 // fixed-size semaphore that sheds excess load with 429 instead of queuing
 // unboundedly. Because estimation is read-only and the per-sketch memo
 // cache stores only pure sub-results, concurrent serving returns values

@@ -202,27 +202,25 @@ func TestBatchExplainErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestServePlannedBitIdenticalToInterpreted asserts flipping the planner
-// off does not change a single served byte-value: both configurations must
-// answer the interpreter's floats.
+// TestServePlannedBitIdenticalToInterpreted asserts a served (planned)
+// estimate carries exactly the interpreter's float, and that it was
+// answered from the plan cache.
 func TestServePlannedBitIdenticalToInterpreted(t *testing.T) {
 	sk := newTestSketch(t)
 	want := sk.EstimateQueryResult(twig.MustParse(testQuery))
-	for _, disable := range []bool{false, true} {
-		_, ts := newTestServer(t, sk, func(c *Config) { c.DisablePlanner = disable })
-		resp, body := postJSON(t, ts.URL+"/estimate", fmt.Sprintf(`{"query":%q}`, testQuery))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("disable=%v: status %d, body %s", disable, resp.StatusCode, body)
-		}
-		var er estimateResponse
-		if err := json.Unmarshal(body, &er); err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		if math.Float64bits(er.Estimate) != math.Float64bits(want.Estimate) {
-			t.Errorf("disable=%v: served %v != interpreted %v", disable, er.Estimate, want.Estimate)
-		}
+	_, ts := newTestServer(t, sk, nil)
+	resp, body := postJSON(t, ts.URL+"/estimate", fmt.Sprintf(`{"query":%q}`, testQuery))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	}
+	var er estimateResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if math.Float64bits(er.Estimate) != math.Float64bits(want.Estimate) || er.Truncated != want.Truncated {
+		t.Errorf("served %v (truncated %v) != interpreted %v (truncated %v)", er.Estimate, er.Truncated, want.Estimate, want.Truncated)
 	}
 	if st := sk.PlanCacheStats(); st.Misses == 0 {
-		t.Error("planner-enabled request did not touch the plan cache")
+		t.Error("served request did not touch the plan cache")
 	}
 }

@@ -114,10 +114,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	var res core.EstimateResult
-	if rec == nil && !s.cfg.DisablePlanner {
-		// Hot path: serve from the sketch's compiled-plan cache. The plan
-		// is bit-identical to the interpreter, so flipping the planner on
-		// or off never changes a response body.
+	if rec == nil {
+		// Hot path: serve from the sketch's compiled-plan cache, which is
+		// bit-identical to the traced interpreter below.
 		res, err = st.sk.EstimatePlanContext(ctx, st.sk.PlanQuery(q))
 	} else {
 		res, err = st.sk.EstimateQueryTraced(ctx, q, rec)
@@ -210,12 +209,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	for j, i := range plainIdx {
 		plainQueries[j] = queries[i]
 	}
-	var results []core.EstimateResult
-	if s.cfg.DisablePlanner {
-		results, err = st.sk.EstimateBatchContext(ctx, plainQueries, workers)
-	} else {
-		results, err = st.sk.EstimateBatchPlannedContext(ctx, plainQueries, workers)
-	}
+	results, err := st.sk.EstimateBatchPlannedContext(ctx, plainQueries, workers)
 	if err != nil {
 		s.writeEstimateError(w, tid, err)
 		return

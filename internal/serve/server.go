@@ -30,13 +30,9 @@ type Config struct {
 	// MaxBatchQueries bounds the query count of one batch request.
 	// Default: 4096.
 	MaxBatchQueries int
-	// BatchWorkers is the worker count handed to EstimateBatchContext.
-	// Default: GOMAXPROCS.
+	// BatchWorkers is the worker count handed to
+	// EstimateBatchPlannedContext. Default: GOMAXPROCS.
 	BatchWorkers int
-	// DisablePlanner routes estimates through the interpreted path instead
-	// of the compiled-plan cache. Results are bit-identical either way; the
-	// planner is only a performance lever. Default: planner on.
-	DisablePlanner bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof.
 	EnablePprof bool
 	// CatalogDir is the sketch-catalog directory backing hot reloads: a

@@ -1,8 +1,10 @@
 package xsketch
 
 import (
+	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"xsketch/internal/twig"
 )
@@ -38,34 +40,61 @@ func (sk *Sketch) EstimateQueryResult(q *twig.Query) EstimateResult {
 // where the speedup comes from — workload queries overlap heavily in the
 // structural sub-results they need.
 func (sk *Sketch) EstimateBatch(queries []*twig.Query, workers int) []EstimateResult {
-	out := make([]EstimateResult, len(queries))
+	out, _ := runBatch(context.Background(), len(queries), workers, func(i int) (EstimateResult, error) {
+		return sk.EstimateQueryResult(queries[i]), nil
+	})
+	return out
+}
+
+// runBatch is the one batch worker pool: it fills out[i] = est(i) for
+// every i in [0, n) on up to workers goroutines (<= 0 selects GOMAXPROCS)
+// and returns the slice in input order. est must fail only by observing
+// ctx's cancellation. Workers claim indices from a shared counter and stop
+// claiming once ctx is done; runBatch then returns ctx.Err() with the
+// partially filled slice, whose never-estimated entries stay at their zero
+// value. Each index is written by exactly one worker, so results do not
+// depend on the worker count. The counter, rather than a channel feed,
+// keeps the per-query hand-off cost far below a warm-cache estimate.
+func runBatch(ctx context.Context, n, workers int, est func(i int) (EstimateResult, error)) ([]EstimateResult, error) {
+	out := make([]EstimateResult, n)
+	if err := ctx.Err(); err != nil {
+		return out, err
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for i, q := range queries {
-			out[i] = sk.EstimateQueryResult(q)
+		for i := range out {
+			r, err := est(i)
+			if err != nil {
+				return out, err
+			}
+			out[i] = r
 		}
-		return out
+		return out, nil
 	}
-	idx := make(chan int, len(queries))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				out[i] = sk.EstimateQueryResult(queries[i])
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				r, err := est(i)
+				if err != nil {
+					return
+				}
+				out[i] = r
 			}
 		}()
 	}
-	for i := range queries {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
-	return out
+	return out, ctx.Err()
 }

@@ -1,6 +1,7 @@
 package xsketch
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -44,6 +45,110 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 			if got.Truncated != want.Truncated {
 				t.Errorf("workers=%d query %d: truncated %v != %v", workers, i, got.Truncated, want.Truncated)
 			}
+		}
+	}
+}
+
+// TestRunBatch is the table test of the shared batch worker pool: both
+// batch entry points, interpreted and planned, return results in input
+// order, Float64bits-identical to sequential estimation, for any worker
+// count (0 = GOMAXPROCS, 1 = inline, and more workers than queries).
+func TestRunBatch(t *testing.T) {
+	d, qs := xmarkQueries(40)
+	oracle := New(d, DefaultConfig())
+	want := make([]EstimateResult, len(qs))
+	for i, q := range qs {
+		want[i] = oracle.EstimateQueryResult(q)
+	}
+	paths := map[string]func(sk *Sketch, workers int) ([]EstimateResult, error){
+		"interpreted": func(sk *Sketch, workers int) ([]EstimateResult, error) {
+			return sk.EstimateBatch(qs, workers), nil
+		},
+		"planned": func(sk *Sketch, workers int) ([]EstimateResult, error) {
+			return sk.EstimateBatchPlannedContext(context.Background(), qs, workers)
+		},
+	}
+	for name, run := range paths {
+		for _, workers := range []int{0, 1, 4, len(qs) + 3} {
+			got, err := run(New(d, DefaultConfig()), workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if len(got) != len(qs) {
+				t.Fatalf("%s workers=%d: %d results for %d queries", name, workers, len(got), len(qs))
+			}
+			for i := range got {
+				if math.Float64bits(got[i].Estimate) != math.Float64bits(want[i].Estimate) || got[i].Truncated != want[i].Truncated {
+					t.Errorf("%s workers=%d query %d: %+v != sequential %+v", name, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRunBatchCancelled cancels the pool part-way through: the call
+// reports context.Canceled, and every entry is either its sequential value
+// or, if it was never estimated, the zero value.
+func TestRunBatchCancelled(t *testing.T) {
+	const n, cancelAt = 64, 5
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		out, err := runBatch(ctx, n, workers, func(i int) (EstimateResult, error) {
+			if i == cancelAt {
+				cancel()
+			}
+			if err := ctx.Err(); err != nil {
+				return EstimateResult{}, err
+			}
+			return EstimateResult{Estimate: float64(i + 1)}, nil
+		})
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if len(out) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(out), n)
+		}
+		estimated := 0
+		for i, r := range out {
+			switch r.Estimate {
+			case 0:
+			case float64(i + 1):
+				estimated++
+			default:
+				t.Fatalf("workers=%d entry %d = %v, want 0 or %d", workers, i, r.Estimate, i+1)
+			}
+		}
+		if out[cancelAt].Estimate != 0 {
+			t.Errorf("workers=%d: the cancelling entry was kept", workers)
+		}
+		if estimated >= n-1 {
+			t.Errorf("workers=%d: %d of %d entries estimated after cancellation", workers, estimated, n)
+		}
+		if workers == 1 && estimated != cancelAt {
+			t.Errorf("inline pool estimated %d entries, want the %d before cancellation", estimated, cancelAt)
+		}
+	}
+}
+
+// TestEstimateBatchContextCancelled runs the context-aware batch entry
+// point under an already-cancelled context: it reports context.Canceled
+// and still returns one (zero) entry per query.
+func TestEstimateBatchContextCancelled(t *testing.T) {
+	d, qs := xmarkQueries(20)
+	sk := New(d, DefaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := sk.EstimateBatchPlannedContext(ctx, qs, 4)
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(res) != len(qs) {
+		t.Fatalf("got %d results for %d queries", len(res), len(qs))
+	}
+	for i, r := range res {
+		if r != (EstimateResult{}) {
+			t.Fatalf("query %d estimated under a cancelled context: %+v", i, r)
 		}
 	}
 }

@@ -119,3 +119,32 @@ func TestEstimatorStatsRaceStress(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+func TestEstimatorCacheViewSnapshot(t *testing.T) {
+	sk := bibSketch(t)
+	view := sk.EstimatorCache()
+	before := view.Snapshot()
+	q := twig.MustParse("t0 in author, t1 in t0/name")
+	sk.EstimateQuery(q)
+	sk.EstimateQuery(q)
+	after := view.Snapshot()
+	if after.Misses <= before.Misses || after.Hits <= before.Hits {
+		t.Fatalf("snapshot did not advance: before %+v after %+v", before, after)
+	}
+	if got, want := after, sk.EstimatorStats(); got != want {
+		t.Fatalf("view snapshot %+v != EstimatorStats %+v", got, want)
+	}
+	delta := after.Sub(before)
+	if delta.Hits != after.Hits-before.Hits {
+		t.Fatalf("Sub delta %+v", delta)
+	}
+	if hr := after.HitRate(); hr <= 0 || hr >= 1 {
+		t.Fatalf("hit rate %v, want in (0,1)", hr)
+	}
+	if (EstimatorStats{}).HitRate() != 0 {
+		t.Fatal("zero-lookup hit rate should be 0")
+	}
+	if n := after.Lookups(); n != after.Hits+after.Misses {
+		t.Fatalf("Lookups = %d", n)
+	}
+}

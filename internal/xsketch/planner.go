@@ -2,7 +2,6 @@ package xsketch
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -111,17 +110,11 @@ func (sk *Sketch) planParsed(c *plan.Cache, q *twig.Query, norm string, gen uint
 	return p
 }
 
-// EstimatePlan executes a compiled plan, recompiling first if the sketch
-// mutated since compilation (so callers may hold plans across RebuildNode
-// without ever seeing stale results).
-func (sk *Sketch) EstimatePlan(p *plan.Program) EstimateResult {
-	r, _ := sk.EstimatePlanContext(context.Background(), p)
-	return r
-}
-
-// EstimatePlanContext is EstimatePlan with cooperative cancellation,
-// checked before execution and between embeddings. On error the result is
-// the zero value and must be discarded.
+// EstimatePlanContext executes a compiled plan, recompiling first if the
+// sketch mutated since compilation (so callers may hold plans across
+// RebuildNode without ever seeing stale results). Cancellation is
+// cooperative, checked before execution and between embeddings; on error
+// the result is the zero value and must be discarded.
 func (sk *Sketch) EstimatePlanContext(ctx context.Context, p *plan.Program) (EstimateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return EstimateResult{}, err
@@ -145,81 +138,23 @@ func (sk *Sketch) EstimatePlanContext(ctx context.Context, p *plan.Program) (Est
 // bit-identical to EstimateQuery for any mix of planned and interpreted
 // calls; the cache-hit path performs zero allocations.
 func (sk *Sketch) EstimateQueryPlanned(text string) (EstimateResult, error) {
-	return sk.EstimateQueryPlannedContext(context.Background(), text)
-}
-
-// EstimateQueryPlannedContext is EstimateQueryPlanned with cooperative
-// cancellation (checked before planning and between embeddings).
-func (sk *Sketch) EstimateQueryPlannedContext(ctx context.Context, text string) (EstimateResult, error) {
-	if err := ctx.Err(); err != nil {
-		return EstimateResult{}, err
-	}
 	p, err := sk.PlanQueryText(text)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	return sk.EstimatePlanContext(ctx, p)
+	return sk.EstimatePlanContext(context.Background(), p)
 }
 
-// EstimateBatchPlanned runs a workload of parsed queries through the
-// compiled-plan path on a worker pool, returning one result per query in
-// input order; workers <= 0 selects GOMAXPROCS. Results are bit-identical
-// to EstimateBatch for any worker count.
-func (sk *Sketch) EstimateBatchPlanned(queries []*twig.Query, workers int) []EstimateResult {
-	out, _ := sk.EstimateBatchPlannedContext(context.Background(), queries, workers)
-	return out
-}
-
-// EstimateBatchPlannedContext is EstimateBatchPlanned under a context: the
-// worker pool stops pulling queries once cancellation is observed and the
-// call returns ctx.Err(), with untouched entries left at their zero value.
+// EstimateBatchPlannedContext runs a workload of parsed queries through
+// the compiled-plan path on the shared batch worker pool, returning one
+// result per query in input order; workers <= 0 selects GOMAXPROCS.
+// Results are bit-identical to EstimateBatch for any worker count. The
+// pool stops pulling queries once cancellation is observed and the call
+// returns ctx.Err(), with untouched entries left at their zero value.
 func (sk *Sketch) EstimateBatchPlannedContext(ctx context.Context, queries []*twig.Query, workers int) ([]EstimateResult, error) {
-	out := make([]EstimateResult, len(queries))
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		for i, q := range queries {
-			r, err := sk.EstimatePlanContext(ctx, sk.PlanQuery(q))
-			if err != nil {
-				return out, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r, err := sk.EstimatePlanContext(ctx, sk.PlanQuery(queries[i]))
-				if err != nil {
-					return
-				}
-				out[i] = r
-			}
-		}()
-	}
-feed:
-	for i := range queries {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return out, ctx.Err()
+	return runBatch(ctx, len(queries), workers, func(i int) (EstimateResult, error) {
+		return sk.EstimatePlanContext(ctx, sk.PlanQuery(queries[i]))
+	})
 }
 
 // compileProgram compiles a query into an executable program against the

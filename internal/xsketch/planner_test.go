@@ -196,7 +196,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 }
 
 // TestEstimatePlanHeldAcrossMutation asserts a caller-held *Program from
-// before a mutation is transparently recompiled by EstimatePlan.
+// before a mutation is transparently recompiled by EstimatePlanContext.
 func TestEstimatePlanHeldAcrossMutation(t *testing.T) {
 	sk := New(typedDoc(), exactConfig())
 	qs := "t0 in movie, t1 in t0/actor"
@@ -209,7 +209,10 @@ func TestEstimatePlanHeldAcrossMutation(t *testing.T) {
 	if !sk.AddValueDim(movie, typ, 8) {
 		t.Fatal("AddValueDim failed")
 	}
-	got := sk.EstimatePlan(p) // p is stale now
+	got, err := sk.EstimatePlanContext(context.Background(), p) // p is stale now
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := sk.EstimateQueryResult(twig.MustParse(qs))
 	if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) {
 		t.Fatalf("stale-plan estimate %v != interpreted %v", got.Estimate, want.Estimate)
@@ -305,7 +308,10 @@ func TestPlannedBatchBitIdentical(t *testing.T) {
 	}
 	want := sk.EstimateBatch(queries, 1)
 	for _, workers := range []int{0, 1, 2, 8} {
-		got := sk.EstimateBatchPlanned(queries, workers)
+		got, err := sk.EstimateBatchPlannedContext(context.Background(), queries, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
@@ -318,18 +324,32 @@ func TestPlannedBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPlannedContextCancellation asserts the context-aware entry points
-// observe cancellation up front.
+// TestPlannedContextCancellation asserts the planned context entry points
+// observe cancellation up front and return zero results.
 func TestPlannedContextCancellation(t *testing.T) {
 	sk := New(xmltree.Bibliography(), exactConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sk.EstimateQueryPlannedContext(ctx, "t0 in author"); err == nil {
-		t.Fatal("planned estimate ignored a cancelled context")
+	var queries []*twig.Query
+	for _, qs := range plannerFixtureQueries["bib"] {
+		queries = append(queries, twig.MustParse(qs))
 	}
-	queries := []*twig.Query{twig.MustParse("t0 in author")}
-	if _, err := sk.EstimateBatchPlannedContext(ctx, queries, 2); err == nil {
-		t.Fatal("planned batch ignored a cancelled context")
+	if res, err := sk.EstimatePlanContext(ctx, sk.PlanQuery(queries[0])); err != context.Canceled || res != (EstimateResult{}) {
+		t.Fatalf("planned estimate under a cancelled context = (%+v, %v), want zero and context.Canceled", res, err)
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := sk.EstimateBatchPlannedContext(ctx, queries, workers)
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: planned batch err = %v, want context.Canceled", workers, err)
+		}
+		if len(res) != len(queries) {
+			t.Fatalf("workers=%d: %d results for %d queries", workers, len(res), len(queries))
+		}
+		for i, r := range res {
+			if r != (EstimateResult{}) {
+				t.Fatalf("workers=%d query %d estimated under a cancelled context: %+v", workers, i, r)
+			}
+		}
 	}
 }
 

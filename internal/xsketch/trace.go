@@ -16,11 +16,14 @@ import (
 // nil recorder reduces every hook to a nil-check, so the hot path pays no
 // allocations when tracing is disabled (asserted in trace_test.go).
 
-// EstimateQueryTraced estimates a twig query like EstimateQueryContext,
-// additionally recording a structured trace into rec when it is non-nil:
-// expansion and dedup events, per-embedding TREEPARSE trees with E/U/D
-// scope splits and per-term factors, and per-stage latencies. A nil rec
-// makes this identical to EstimateQueryContext.
+// EstimateQueryTraced estimates a twig query like EstimateQueryResult,
+// aborting with ctx.Err() as soon as cancellation is observed (before
+// enumeration and between embeddings; on error the result is the zero
+// value and must be discarded). When rec is non-nil it additionally
+// records a structured trace: expansion and dedup events, per-embedding
+// TREEPARSE trees with E/U/D scope splits and per-term factors, and
+// per-stage latencies. With a nil rec and a live context the result is
+// bit-identical to EstimateQueryResult.
 func (sk *Sketch) EstimateQueryTraced(ctx context.Context, q *twig.Query, rec *trace.Recorder) (EstimateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return EstimateResult{}, err

@@ -233,3 +233,38 @@ func TestExplainGoldenJSON(t *testing.T) {
 		t.Fatalf("explanation JSON deviates from golden file %s:\ngot:\n%s\nwant:\n%s", golden, a, want)
 	}
 }
+
+// TestEstimateQueryTracedNilMatchesPlain asserts the context-aware
+// interpreter entry point, run without a recorder under a live context,
+// returns the plain interpreter's bits.
+func TestEstimateQueryTracedNilMatchesPlain(t *testing.T) {
+	d, qs := xmarkQueries(30)
+	ctxSk := New(d, DefaultConfig())
+	plain := New(d, DefaultConfig())
+	for i, q := range qs {
+		got, err := ctxSk.EstimateQueryTraced(context.Background(), q, nil)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		want := plain.EstimateQueryResult(q)
+		if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) || got.Truncated != want.Truncated {
+			t.Errorf("query %d: context %+v != plain %+v", i, got, want)
+		}
+	}
+}
+
+// TestEstimateQueryTracedCancelled asserts the interpreter observes an
+// already-cancelled context and returns the zero result.
+func TestEstimateQueryTracedCancelled(t *testing.T) {
+	sk := bibSketch(t)
+	q := twig.MustParse("t0 in author, t1 in t0//title")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := sk.EstimateQueryTraced(ctx, q, nil)
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != (EstimateResult{}) {
+		t.Fatalf("cancelled estimate returned %+v, want zero", res)
+	}
+}
