@@ -24,6 +24,7 @@ import (
 	"io"
 
 	"xsketch/internal/build"
+	"xsketch/internal/catalog"
 	"xsketch/internal/eval"
 	"xsketch/internal/graphsyn"
 	"xsketch/internal/pathexpr"
@@ -185,12 +186,17 @@ func GenerateWorkload(d *Document, cfg WorkloadConfig) *Workload { return worklo
 // given kind.
 func DefaultWorkloadConfig(kind WorkloadKind) WorkloadConfig { return workload.DefaultConfig(kind) }
 
-// SaveSketch persists a synopsis's construction state.
-func SaveSketch(w io.Writer, sk *Sketch) error { return core.Save(w, sk) }
+// SaveSketch writes a synopsis in the standalone binary format (DESIGN.md
+// §12): everything the estimator reads, nothing it does not.
+func SaveSketch(w io.Writer, sk *Sketch) error { return catalog.Encode(w, sk) }
 
-// LoadSketch restores a synopsis persisted by SaveSketch, rebinding it to
-// the document it was built from.
-func LoadSketch(r io.Reader, d *Document) (*Sketch, error) { return core.Load(r, d) }
+// LoadSketch reads a synopsis written by SaveSketch. The result is
+// detached: it needs no document and supports every estimation path, but
+// cannot be refined further.
+func LoadSketch(r io.Reader) (*Sketch, error) {
+	sk, _, err := catalog.Decode(r)
+	return sk, err
+}
 
 // Estimation tracing types: the structured EXPLAIN machinery (see
 // DESIGN.md §10 for the trace model and its mapping onto the paper's

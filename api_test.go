@@ -3,6 +3,7 @@ package xsketch_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -96,16 +97,38 @@ func TestPublicAPIBuilderAndPersistence(t *testing.T) {
 	if err := xsketch.SaveSketch(&buf, sk); err != nil {
 		t.Fatalf("SaveSketch: %v", err)
 	}
-	loaded, err := xsketch.LoadSketch(&buf, doc)
+	loaded, err := xsketch.LoadSketch(&buf)
 	if err != nil {
 		t.Fatalf("LoadSketch: %v", err)
+	}
+	if !loaded.Detached() {
+		t.Fatal("loaded sketch is not detached")
+	}
+	if loaded.SizeBytes() != sk.SizeBytes() {
+		t.Fatalf("size %d -> %d after round trip", sk.SizeBytes(), loaded.SizeBytes())
 	}
 	p, err := xsketch.ParsePath("entry/reference/author")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := sk.EstimatePath(p), loaded.EstimatePath(p); a != b {
-		t.Fatalf("persisted estimate differs: %v vs %v", a, b)
+	if a, b := sk.EstimatePath(p), loaded.EstimatePath(p); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("persisted path estimate differs: %v vs %v", a, b)
+	}
+	cfg := xsketch.DefaultWorkloadConfig(xsketch.WorkloadPV)
+	cfg.NumQueries = 20
+	for _, q := range xsketch.GenerateWorkload(doc, cfg).Queries {
+		a, b := sk.EstimateQuery(q.Twig), loaded.EstimateQuery(q.Twig)
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("persisted estimate differs for %s: %v vs %v", q.Twig, a, b)
+		}
+	}
+}
+
+// TestLoadSketchRejectsGarbage: bytes that are not the binary synopsis
+// format fail to load instead of yielding a sketch.
+func TestLoadSketchRejectsGarbage(t *testing.T) {
+	if sk, err := xsketch.LoadSketch(strings.NewReader("not a synopsis file")); err == nil || sk != nil {
+		t.Fatalf("LoadSketch(garbage) = %v, %v; want an error", sk, err)
 	}
 }
 

@@ -11,11 +11,10 @@
 //
 // Exactly one of -in (an XML file, '-' for stdin) or -dataset must be
 // given. -o persists the synopsis in the standalone binary format
-// (DESIGN.md §12) that xserve and xestimate load without the document;
-// -gob switches to the legacy gob form, which needs the original
-// document at load time. -catalog writes the synopsis into a catalog
-// directory as <name>.xsb, ready for `xserve -catalog`. All artifact
-// writes are atomic: a crash mid-write never leaves a torn file.
+// (DESIGN.md §12) that xserve and xestimate load without the document.
+// -catalog writes the synopsis into a catalog directory as <name>.xsb,
+// ready for `xserve -catalog`. All artifact writes are atomic: a crash
+// mid-write never leaves a torn file.
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"xsketch/internal/build"
 	"xsketch/internal/catalog"
 	"xsketch/internal/cli"
-	"xsketch/internal/xsketch"
 )
 
 func main() {
@@ -40,7 +38,6 @@ func main() {
 		trace   = flag.Bool("trace", false, "stream one JSONL telemetry event per adopted refinement to stderr")
 		steps   = flag.Int("steps", 1000, "max refinement steps")
 		out     = flag.String("o", "", "persist the built synopsis to this file in the standalone binary format (load with xestimate/xserve, no document needed)")
-		gob     = flag.Bool("gob", false, "write -o in the legacy gob format instead (requires the document at load time)")
 		catDir  = flag.String("catalog", "", "write the synopsis into this catalog directory as <name>.xsb")
 		name    = flag.String("name", "", "catalog entry name (default: -dataset name, or 'sketch')")
 		dot     = flag.String("dot", "", "write the built synopsis as a Graphviz digraph to this file")
@@ -75,28 +72,16 @@ func main() {
 		os.Exit(1)
 	}
 	if *out != "" {
-		var data []byte
-		format := "standalone binary"
-		if *gob {
-			var buf bytes.Buffer
-			if err := xsketch.Save(&buf, sk); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			data = buf.Bytes()
-			format = "legacy gob"
-		} else {
-			data, err = catalog.EncodeBytes(sk)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		data, err := catalog.EncodeBytes(sk)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		if err := cli.WriteFileAtomic(*out, data, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("persisted synopsis to %s (%s, %d bytes)\n", *out, format, len(data))
+		fmt.Printf("persisted synopsis to %s (standalone binary, %d bytes)\n", *out, len(data))
 	}
 	if *catDir != "" {
 		entry := *name

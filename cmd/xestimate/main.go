@@ -6,6 +6,11 @@
 //
 //	xestimate -in doc.xml -query "for t0 in //movie, t1 in t0/actor" [-budget 8192]
 //	xestimate -dataset imdb -scale 0.1 -query "t0 in movie[type=0], t1 in t0/actor, t2 in t0/producer"
+//	xestimate -synopsis imdb.xsb -query "t0 in movie, t1 in t0/actor"
+//
+// -synopsis loads a synopsis persisted by `xbuild -o` (the binary format
+// of DESIGN.md §12) instead of building one; it needs no document, and
+// the exact count is skipped unless -in or -dataset supplies one.
 //
 // The query uses the paper's for-clause notation (see internal/twig).
 package main
@@ -50,19 +55,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// A standalone binary synopsis (xbuild -o, DESIGN.md §12) loads with
-	// no document at all; the legacy gob form replays against one. Sniff
-	// the file so both keep working behind the same flag.
-	standalone := false
-	if *synopsis != "" {
-		standalone, err = catalog.SniffFile(*synopsis)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	// A persisted synopsis (xbuild -o, DESIGN.md §12) loads with no
+	// document; one is loaded only when -in or -dataset asks for it, to
+	// compute the exact count.
 	var doc *xmltree.Document
-	if !standalone || *in != "" || *dataset != "" {
+	if *synopsis == "" || *in != "" || *dataset != "" {
 		doc, err = cli.LoadDoc(*in, *dataset, *scale, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -71,26 +68,13 @@ func main() {
 	}
 
 	var sk *xsketch.Sketch
-	switch {
-	case standalone:
+	if *synopsis != "" {
 		sk, _, err = catalog.Open(*synopsis)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	case *synopsis != "":
-		f, err := os.Open(*synopsis)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		sk, err = xsketch.Load(f, doc)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	default:
+	} else {
 		opts := build.DefaultOptions(*budget)
 		opts.Seed = *seed
 		sk = build.XBuild(doc, opts)

@@ -8,14 +8,14 @@
 //
 //	xserve -listen :8080 -sketch imdb
 //	xserve -sketch imdb=dataset:imdb,scale=0.05,budget=16384 \
-//	       -sketch docs=xml:doc.xml,synopsis=doc.sketch
+//	       -sketch docs=xml:doc.xml,budget=8192 -sketch snap=synopsis:imdb.xsb
 //	xserve -catalog ./sketches
 //
 // Each repeatable -sketch flag is name=source[,key=value...]: the source
 // is dataset:<xmark|imdb|sprot|parts>, xml:<file>, or synopsis:<file> (a
 // standalone binary sketch written by `xbuild -o`, loaded with no
-// document at all). The options are scale, seed, budget (build a synopsis
-// with XBUILD) and synopsis (load a persisted one instead of building). A
+// document at all). The options scale, seed and budget tune the XBUILD
+// run for dataset: and xml: sources; a synopsis: source takes none. A
 // bare name is shorthand for a same-named dataset with default options.
 // Paths may contain commas; an unquoted comma splits options only when
 // the next token looks like key=value with a known key.
@@ -149,7 +149,6 @@ type sketchSpec struct {
 	scale      float64
 	seed       int64
 	budget     int
-	synopsis   string // load instead of build when set
 }
 
 // sketchFlags collects repeated -sketch values.
@@ -175,12 +174,11 @@ func (f *sketchFlags) Set(v string) error {
 // specOptionKeys are the option names the spec grammar knows. A comma
 // starts a new option only when the token after it is one of these keys
 // followed by '='; any other comma belongs to the preceding value, so
-// xml: and synopsis= paths containing commas parse without quoting.
+// xml: and synopsis: paths containing commas parse without quoting.
 var specOptionKeys = map[string]bool{
-	"scale":    true,
-	"seed":     true,
-	"budget":   true,
-	"synopsis": true,
+	"scale":  true,
+	"seed":   true,
+	"budget": true,
 }
 
 // splitSpec tokenizes source[,key=value...] comma-safely: tokens that do
@@ -244,8 +242,6 @@ func parseSketchSpec(v string) (sketchSpec, error) {
 			spec.seed, err = strconv.ParseInt(val, 10, 64)
 		case "budget":
 			spec.budget, err = strconv.Atoi(val)
-		case "synopsis":
-			spec.synopsis = val
 		default:
 			return spec, fmt.Errorf("sketch spec %q: unknown option %q", v, k)
 		}
@@ -253,7 +249,7 @@ func parseSketchSpec(v string) (sketchSpec, error) {
 			return spec, fmt.Errorf("sketch spec %q: option %q: %v", v, p, err)
 		}
 	}
-	if spec.standalone != "" && (spec.synopsis != "" || len(parts) > 1) {
+	if spec.standalone != "" && len(parts) > 1 {
 		return spec, fmt.Errorf("sketch spec %q: a synopsis:<path> source takes no options", v)
 	}
 	if spec.scale <= 0 {
@@ -269,52 +265,21 @@ func parseSketchSpec(v string) (sketchSpec, error) {
 }
 
 // loadSketch materializes one spec: a standalone binary synopsis loads
-// directly (no document); otherwise the document is generated or parsed,
-// then the synopsis is built with XBUILD or loaded from a persisted file
-// (binary catalog files load detached even here — only the legacy gob
-// form replays against the document).
+// directly (no document); otherwise the document is generated or parsed
+// and the synopsis is built with XBUILD.
 func loadSketch(spec sketchSpec, logger *obs.Logger) (serve.Sketch, error) {
 	var (
 		sk     *core.Sketch
 		source string
 	)
-	switch {
-	case spec.standalone != "":
+	if spec.standalone != "" {
 		loaded, info, err := catalog.Open(spec.standalone)
 		if err != nil {
 			return serve.Sketch{}, fmt.Errorf("sketch %s: %v", spec.name, err)
 		}
 		sk = loaded
 		source = fmt.Sprintf("synopsis:%s (standalone, %d elements summarized)", spec.standalone, info.Elements)
-	case spec.synopsis != "":
-		binary, err := catalog.SniffFile(spec.synopsis)
-		if err != nil {
-			return serve.Sketch{}, fmt.Errorf("sketch %s: %v", spec.name, err)
-		}
-		if binary {
-			loaded, _, err := catalog.Open(spec.synopsis)
-			if err != nil {
-				return serve.Sketch{}, fmt.Errorf("sketch %s: %v", spec.name, err)
-			}
-			sk = loaded
-			source = fmt.Sprintf("synopsis:%s (standalone)", spec.synopsis)
-			break
-		}
-		doc, err := cli.LoadDoc(spec.xmlPath, spec.dataset, spec.scale, spec.seed)
-		if err != nil {
-			return serve.Sketch{}, fmt.Errorf("sketch %s: %v", spec.name, err)
-		}
-		f, err := os.Open(spec.synopsis)
-		if err != nil {
-			return serve.Sketch{}, fmt.Errorf("sketch %s: %v", spec.name, err)
-		}
-		sk, err = core.Load(f, doc)
-		f.Close()
-		if err != nil {
-			return serve.Sketch{}, fmt.Errorf("sketch %s: loading synopsis: %v", spec.name, err)
-		}
-		source = fmt.Sprintf("synopsis:%s", spec.synopsis)
-	default:
+	} else {
 		doc, err := cli.LoadDoc(spec.xmlPath, spec.dataset, spec.scale, spec.seed)
 		if err != nil {
 			return serve.Sketch{}, fmt.Errorf("sketch %s: %v", spec.name, err)
@@ -322,15 +287,11 @@ func loadSketch(spec sketchSpec, logger *obs.Logger) (serve.Sketch, error) {
 		opts := build.DefaultOptions(spec.budget)
 		opts.Seed = spec.seed
 		sk = build.XBuild(doc, opts)
-		source = fmt.Sprintf("budget=%d seed=%d", spec.budget, spec.seed)
-	}
-	switch {
-	case spec.standalone != "":
-		// source already complete
-	case spec.dataset != "":
-		source = fmt.Sprintf("dataset:%s scale=%g %s", spec.dataset, spec.scale, source)
-	case spec.xmlPath != "":
-		source = fmt.Sprintf("xml:%s %s", spec.xmlPath, source)
+		if spec.dataset != "" {
+			source = fmt.Sprintf("dataset:%s scale=%g budget=%d seed=%d", spec.dataset, spec.scale, spec.budget, spec.seed)
+		} else {
+			source = fmt.Sprintf("xml:%s budget=%d seed=%d", spec.xmlPath, spec.budget, spec.seed)
+		}
 	}
 	logger.Info("sketch loaded",
 		"sketch", spec.name,
@@ -404,7 +365,7 @@ func main() {
 		auditWindow    = flag.Int("audit-window", 0, "q-error sliding-window size per sketch (0 = default)")
 		auditDrift     = flag.Float64("audit-drift-threshold", 0, "windowed mean q-error above which drift fires (0 disables drift detection)")
 	)
-	flag.Var(&sketches, "sketch", "sketch to serve: name=dataset:<name>|xml:<path>|synopsis:<file>[,scale=F][,seed=N][,budget=N][,synopsis=FILE] (repeatable; bare NAME = dataset shorthand)")
+	flag.Var(&sketches, "sketch", "sketch to serve: name=dataset:<name>|xml:<path>|synopsis:<file>[,scale=F][,seed=N][,budget=N] (repeatable; bare NAME = dataset shorthand)")
 	flag.Var(&backends, "backend", "router: backend replica base URL (repeatable, requires -router)")
 	flag.Parse()
 

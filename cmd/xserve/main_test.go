@@ -37,16 +37,14 @@ func TestParseSketchSpec(t *testing.T) {
 			want: sketchSpec{name: "docs", xmlPath: "/data/a,b,c.xml", scale: 0.05, seed: 1, budget: 4096},
 		},
 		{
-			name: "synopsis option path containing commas",
-			in:   "m=dataset:imdb,synopsis=/tmp/snap,v2,final.sketch",
-			want: sketchSpec{name: "m", dataset: "imdb", scale: 0.05, seed: 1, budget: 16384,
-				synopsis: "/tmp/snap,v2,final.sketch"},
+			name: "xml path with several commas and no options",
+			in:   "docs=xml:/tmp/snap,v2,final.xml",
+			want: sketchSpec{name: "docs", xmlPath: "/tmp/snap,v2,final.xml", scale: 0.05, seed: 1, budget: 16384},
 		},
 		{
 			name: "comma before a known key still splits",
-			in:   "m=dataset:imdb,synopsis=/tmp/a,b.sketch,seed=3",
-			want: sketchSpec{name: "m", dataset: "imdb", scale: 0.05, seed: 3, budget: 16384,
-				synopsis: "/tmp/a,b.sketch"},
+			in:   "docs=xml:/a,b.xml,seed=3",
+			want: sketchSpec{name: "docs", xmlPath: "/a,b.xml", scale: 0.05, seed: 3, budget: 16384},
 		},
 		{
 			name: "standalone synopsis source",
@@ -63,6 +61,8 @@ func TestParseSketchSpec(t *testing.T) {
 		{name: "empty synopsis path", in: "m=synopsis:", wantErr: "empty synopsis path"},
 		{name: "standalone rejects options", in: "m=synopsis:/a.xsb,budget=1", wantErr: "takes no options"},
 		{name: "unknown option merges into dataset and is rejected", in: "m=dataset:imdb,depth=3", wantErr: "unknown option after the comma"},
+		{name: "removed synopsis option is rejected", in: "m=dataset:imdb,synopsis=/a.xsb", wantErr: "unknown option after the comma"},
+		{name: "synopsis option path containing commas", in: "m=dataset:imdb,synopsis=/tmp/snap,v2,final.sketch", wantErr: "unknown option after the comma"},
 		{name: "malformed float", in: "m=dataset:imdb,scale=big", wantErr: "invalid syntax"},
 		{name: "zero scale rejected", in: "m=dataset:imdb,scale=0", wantErr: "scale must be positive"},
 		{name: "negative scale rejected", in: "m=dataset:imdb,scale=-0.5", wantErr: "scale must be positive"},

@@ -69,21 +69,18 @@ func TestSinkReceivesOneEventPerStep(t *testing.T) {
 }
 
 // TestSinkDoesNotChangeBuild pins telemetry's observational contract: the
-// built synopsis is byte-identical with and without a sink.
+// built synopsis is byte-identical, over the same element partition, with
+// and without a sink.
 func TestSinkDoesNotChangeBuild(t *testing.T) {
 	doc := xmlgen.IMDB(xmlgen.Config{Seed: 7, Scale: 0.02})
-	buildWith := func(sink Sink) []byte {
+	buildWith := func(sink Sink) builtState {
 		opts := telemetryOpts()
 		opts.Sink = sink
-		var buf bytes.Buffer
-		if err := core.Save(&buf, XBuild(doc, opts)); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-		return buf.Bytes()
+		return stateOf(t, XBuild(doc, opts))
 	}
 	plain := buildWith(nil)
 	traced := buildWith(&collectSink{})
-	if !bytes.Equal(plain, traced) {
+	if !plain.equal(traced) {
 		t.Fatal("sink changed the built synopsis")
 	}
 }

@@ -12,8 +12,10 @@ import (
 
 	"xsketch/internal/build"
 	"xsketch/internal/cli"
+	"xsketch/internal/graphsyn"
 	"xsketch/internal/twig"
 	"xsketch/internal/workload"
+	"xsketch/internal/xmltree"
 	"xsketch/internal/xsketch"
 )
 
@@ -97,6 +99,67 @@ func TestRoundTripBitIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRoundTripHandRefined pins the codec on a small sketch that carries
+// each kind of refinement by hand — a B-stabilize split, an expanded
+// scope edge, a non-default bucket budget and a value dimension — so every
+// summary field is round-tripped whatever XBUILD happens to choose.
+func TestRoundTripHandRefined(t *testing.T) {
+	d := xmltree.Bibliography()
+	cfg := xsketch.DefaultConfig()
+	cfg.InitialEdgeBuckets = 64
+	cfg.InitialValueBuckets = 64
+	sk := xsketch.New(d, cfg)
+	node := func(tag string) graphsyn.NodeID {
+		t.Helper()
+		id, ok := d.LookupTag(tag)
+		if !ok {
+			t.Fatalf("unknown tag %q", tag)
+		}
+		return sk.Syn.NodesByTag(id)[0]
+	}
+	paper, author, year, title := node("paper"), node("author"), node("year"), node("title")
+	if _, ok := sk.Syn.BStabilize(paper, title); !ok {
+		t.Fatal("split failed")
+	}
+	sk.RebuildAll()
+	if !sk.AddScopeEdge(paper, xsketch.ScopeEdge{From: author, To: paper}) {
+		t.Fatal("AddScopeEdge rejected author->paper")
+	}
+	if !sk.SetBuckets(paper, 32) {
+		t.Fatal("SetBuckets failed")
+	}
+	if !sk.AddValueDim(paper, year, 4) {
+		t.Fatal("AddValueDim failed")
+	}
+	if err := sk.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+
+	buf, err := EncodeBytes(sk)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	got, _, err := Decode(bytes.NewReader(buf))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.SizeBytes() != sk.SizeBytes() || got.Syn.NumNodes() != sk.Syn.NumNodes() {
+		t.Fatalf("decoded %d bytes / %d nodes, original %d / %d",
+			got.SizeBytes(), got.Syn.NumNodes(), sk.SizeBytes(), sk.Syn.NumNodes())
+	}
+	for _, src := range []string{
+		"t0 in author, t1 in t0/name, t2 in t0/paper[year>2000], t3 in t2/title, t4 in t2/keyword",
+		"t0 in //title",
+		"t0 in author[book], t1 in t0/paper, t2 in t1/keyword",
+	} {
+		q := twig.MustParse(src)
+		want, have := sk.EstimateQuery(q), got.EstimateQuery(q)
+		if math.Float64bits(want) != math.Float64bits(have) {
+			t.Fatalf("%s: original %v, decoded %v", src, want, have)
+		}
 	}
 }
 
@@ -293,27 +356,25 @@ func TestDecodeFailureModes(t *testing.T) {
 	})
 }
 
-// TestSniffFile distinguishes catalog files from the legacy gob format.
-func TestSniffFile(t *testing.T) {
+// TestOpenRejectsNonCatalogFile: Open is the only loader for a synopsis
+// file, so anything that is not a catalog file must fail with ErrMagic
+// rather than decode into a sketch, while a real catalog file opens.
+func TestOpenRejectsNonCatalogFile(t *testing.T) {
 	sk, _ := buildFixture(t, "xmark", 0.01, 8*1024, false)
 	dir := t.TempDir()
 	path, err := Write(dir, "s", sk)
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if ok, err := SniffFile(path); err != nil || !ok {
-		t.Fatalf("SniffFile(catalog) = %v, %v", ok, err)
+	if _, _, err := Open(path); err != nil {
+		t.Fatalf("Open(catalog file): %v", err)
 	}
-	gob := filepath.Join(dir, "legacy.bin")
-	f, err := os.Create(gob)
-	if err != nil {
-		t.Fatalf("create: %v", err)
+	other := filepath.Join(dir, "other.bin")
+	junk := bytes.Repeat([]byte("not a catalog file\n"), 8)
+	if err := os.WriteFile(other, junk, 0o644); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	if err := xsketch.Save(f, sk); err != nil {
-		t.Fatalf("gob save: %v", err)
-	}
-	f.Close()
-	if ok, err := SniffFile(gob); err != nil || ok {
-		t.Fatalf("SniffFile(gob) = %v, %v", ok, err)
+	if got, _, err := Open(other); !errors.Is(err, ErrMagic) || got != nil {
+		t.Fatalf("Open(non-catalog file) = %v, %v; want ErrMagic", got, err)
 	}
 }

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -136,22 +135,6 @@ func ReadInfo(path string) (Info, error) {
 	info.Version = version
 	info.FileBytes = st.Size()
 	return info, nil
-}
-
-// SniffFile reports whether the file at path starts with the catalog
-// magic, distinguishing the standalone binary format from the legacy gob
-// form without consuming the reader the caller will decode from.
-func SniffFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false, nil // too short to be either format; let the decoder complain
-	}
-	return bytes.Equal(m[:], []byte(magic)), nil
 }
 
 // entryName derives the catalog name from a file path.

@@ -1,19 +1,19 @@
 // Package catalog implements the standalone binary synopsis format and
 // the on-disk sketch catalog built on it.
 //
-// The persistence layer in internal/xsketch (Save/Load, encoding/gob)
-// replays construction decisions against the original document, so a
-// loader must hold the full XML tree — startup cost scales with document
-// size. The catalog format instead stores everything the estimator reads
-// and nothing it does not: a fixed little-endian header (magic, version,
-// checksum), the interned tag table, flat node/edge/scope arrays with
-// per-node extent counts, and the serialized histograms and value
-// dimensions. Decode reconstructs a detached sketch
+// A Twig XSKETCH is built once, offline, against the document and then
+// consulted many times by an optimizer. The format stores everything the
+// estimator reads and nothing it does not: a fixed little-endian header
+// (magic, version, checksum), the interned tag table, flat
+// node/edge/scope arrays with per-node extent counts, and the serialized
+// histograms and value dimensions. Decode reconstructs a detached sketch
 // (graphsyn.FromDetached + xsketch.FromStored) whose estimates are
-// Float64bits-identical to the build-and-replay path, with no document
+// Float64bits-identical to the sketch that was encoded, with no document
 // available at all — the paper's offline-build/online-estimate split made
 // literal: replicas load a synopsis of a few kilobytes, never the
-// multi-megabyte tree it summarizes.
+// multi-megabyte tree it summarizes. It is the only persistence format:
+// xbuild -o and -catalog, xestimate -synopsis, xserve and the public
+// SaveSketch/LoadSketch all read and write it.
 //
 // On top of the codec sits a catalog directory abstraction: Write encodes
 // a sketch atomically into DIR/<name>.xsb, Scan lists a directory's

@@ -91,50 +91,6 @@ func LabelSplit(d *xmltree.Document) *Synopsis {
 	return s
 }
 
-// FromAssignment reconstructs a synopsis from an element-to-node
-// assignment (the inverse of the Split history), used when loading a
-// persisted synopsis. Node IDs are taken from the assignment; they must
-// form a contiguous range starting at 0 and every node must hold elements
-// of a single tag.
-func FromAssignment(d *xmltree.Document, assign []NodeID) (*Synopsis, error) {
-	if len(assign) != d.Len() {
-		return nil, fmt.Errorf("graphsyn: assignment covers %d of %d elements", len(assign), d.Len())
-	}
-	maxID := NodeID(-1)
-	for _, id := range assign {
-		if id < 0 {
-			return nil, fmt.Errorf("graphsyn: negative node id %d", id)
-		}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	s := &Synopsis{
-		Doc:    d,
-		nodes:  make([]*Node, maxID+1),
-		assign: append([]NodeID(nil), assign...),
-		edges:  map[[2]NodeID]*Edge{},
-	}
-	for i, id := range assign {
-		n := s.nodes[id]
-		e := xmltree.NodeID(i)
-		if n == nil {
-			n = &Node{ID: id, Tag: d.Node(e).Tag}
-			s.nodes[id] = n
-		} else if n.Tag != d.Node(e).Tag {
-			return nil, fmt.Errorf("graphsyn: node %d mixes tags %d and %d", id, n.Tag, d.Node(e).Tag)
-		}
-		n.Extent = append(n.Extent, e)
-	}
-	for id, n := range s.nodes {
-		if n == nil {
-			return nil, fmt.Errorf("graphsyn: node id %d unused (non-contiguous assignment)", id)
-		}
-	}
-	s.RecomputeEdges()
-	return s, nil
-}
-
 // Assignment returns a copy of the element-to-node assignment.
 func (s *Synopsis) Assignment() []NodeID {
 	return append([]NodeID(nil), s.assign...)

@@ -374,54 +374,3 @@ func TestBStabilizeMakesEdgeStable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFromAssignmentRoundTrip(t *testing.T) {
-	d := xmltree.Bibliography()
-	s := LabelSplit(d)
-	// Apply a split so the assignment is nontrivial.
-	paperID, _ := d.LookupTag("paper")
-	titleID, _ := d.LookupTag("title")
-	s.BStabilize(s.NodesByTag(paperID)[0], s.NodesByTag(titleID)[0])
-	assign := s.Assignment()
-	s2, err := FromAssignment(d, assign)
-	if err != nil {
-		t.Fatalf("FromAssignment: %v", err)
-	}
-	if err := s2.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if s2.NumNodes() != s.NumNodes() || s2.NumEdges() != s.NumEdges() {
-		t.Fatalf("shape %d/%d vs %d/%d", s2.NumNodes(), s2.NumEdges(), s.NumNodes(), s.NumEdges())
-	}
-	for _, e := range s.Edges() {
-		e2 := s2.Edge(e.From, e.To)
-		if e2 == nil || *e2 != *e {
-			t.Fatalf("edge %d->%d differs: %+v vs %+v", e.From, e.To, e, e2)
-		}
-	}
-}
-
-func TestFromAssignmentErrors(t *testing.T) {
-	d := xmltree.Bibliography()
-	// Wrong length.
-	if _, err := FromAssignment(d, make([]NodeID, 3)); err == nil {
-		t.Fatal("accepted short assignment")
-	}
-	// Negative id.
-	bad := make([]NodeID, d.Len())
-	bad[0] = -1
-	if _, err := FromAssignment(d, bad); err == nil {
-		t.Fatal("accepted negative id")
-	}
-	// Non-contiguous ids.
-	gap := make([]NodeID, d.Len())
-	gap[0] = 5
-	if _, err := FromAssignment(d, gap); err == nil {
-		t.Fatal("accepted non-contiguous ids")
-	}
-	// Mixed tags in one node.
-	mixed := make([]NodeID, d.Len())
-	if _, err := FromAssignment(d, mixed); err == nil {
-		t.Fatal("accepted mixed-tag node")
-	}
-}

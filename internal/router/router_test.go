@@ -249,9 +249,19 @@ func TestTransportFailureMarksDownAndFailsOver(t *testing.T) {
 	rt, ts := newTestRouter(t, testConfig(), dead.URL, live.URL)
 	dead.Close()
 
-	for i := 0; i < 8; i++ {
+	// Route only keys the dead backend owns, so every first attempt hits
+	// it; arbitrary keys could all land on the survivor and never probe
+	// the failure path.
+	var keys []string
+	for i := 0; len(keys) < 8; i++ {
+		if key := fmt.Sprintf("s%d", i); rt.ring.Owner(key) == dead.URL {
+			keys = append(keys, key)
+		}
+	}
+
+	for i, key := range keys {
 		resp, body := postJSON(t, ts.URL+"/estimate",
-			fmt.Sprintf(`{"sketch":"s%d","query":%q}`, i, testQuery))
+			fmt.Sprintf(`{"sketch":%q,"query":%q}`, key, testQuery))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d, body %s", i, resp.StatusCode, body)
 		}
@@ -265,8 +275,8 @@ func TestTransportFailureMarksDownAndFailsOver(t *testing.T) {
 
 	// Once down, the dead backend should no longer receive first attempts.
 	before := rt.m.shardReq.With(dead.URL).Value()
-	for i := 0; i < 8; i++ {
-		postJSON(t, ts.URL+"/estimate", fmt.Sprintf(`{"sketch":"s%d","query":%q}`, i, testQuery))
+	for _, key := range keys {
+		postJSON(t, ts.URL+"/estimate", fmt.Sprintf(`{"sketch":%q,"query":%q}`, key, testQuery))
 	}
 	if after := rt.m.shardReq.With(dead.URL).Value(); after != before {
 		t.Errorf("down backend still attempted: %d -> %d", before, after)

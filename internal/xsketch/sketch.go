@@ -112,8 +112,8 @@ type Sketch struct {
 
 	// est holds the estimation memo tables and their counters. Its zero
 	// value is ready to use, so the struct-literal constructors (New,
-	// FromSynopsis, Clone, Load) need no extra setup; clones start with an
-	// empty cache.
+	// FromSynopsis, FromStored, Clone) need no extra setup; clones start
+	// with an empty cache.
 	est estEngine
 
 	// plans holds the lazily created compiled-plan cache (planner.go).
