@@ -154,3 +154,67 @@ func TestBenchPR6NoRegression(t *testing.T) {
 		t.Errorf("planned path allocates %d/op, want 0", planned.AllocsPerOp)
 	}
 }
+
+// newPlanCompileBench builds the plan-miss fixture: an XBUILD sketch of
+// XMark at scale 0.1 and budget 51200 with its plan cache disabled, so
+// every PlanQuery compiles, plus a fixed P+V workload over the same
+// document (seed 1), the query mix of servebench's batch-wide workload.
+// The estimator memo stays on, as in serving.
+func newPlanCompileBench(tb testing.TB) (*xsketch.Sketch, []*xsketch.Query) {
+	tb.Helper()
+	doc, err := xsketch.GenerateDataset("xmark", 1, 0.1)
+	if err != nil {
+		tb.Fatalf("GenerateDataset: %v", err)
+	}
+	opts := xsketch.DefaultBuildOptions(51200)
+	opts.Sketch.PlanCacheSize = -1
+	sk := xsketch.BuildWithOptions(doc, opts)
+	cfg := xsketch.DefaultWorkloadConfig(xsketch.WorkloadPV)
+	cfg.NumQueries = 200
+	var qs []*xsketch.Query
+	for _, wq := range xsketch.GenerateWorkload(doc, cfg).Queries {
+		qs = append(qs, wq.Twig)
+	}
+	for _, q := range qs {
+		sk.PlanQuery(q) // warm the estimator memo
+	}
+	return sk, qs
+}
+
+// BenchmarkPlanCompile measures a plan miss: canonical rendering,
+// embedding enumeration and compilation of one query, cycling through the
+// fixed P+V set. One op is one compile.
+func BenchmarkPlanCompile(b *testing.B) {
+	sk, qs := newPlanCompileBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPlanSink = sk.PlanQuery(qs[i%len(qs)])
+	}
+}
+
+var benchPlanSink *xsketch.Plan
+
+// planCompileAllocsCeiling bounds the mean allocations of one plan miss
+// over the BenchmarkPlanCompile query set. The allocation-lean compile
+// path measures 42.45 with Go 1.24 (the fmt-rendering compile it replaced
+// made 129.78); the ceiling leaves a little room for runtime differences
+// and fails any return of per-node maps, per-chain clones or fmt
+// renderings.
+const planCompileAllocsCeiling = 45
+
+// TestPlanCompileAllocs is the allocation gate on plan misses: the mean
+// allocation count of a cache-disabled PlanQuery over the fixed P+V set
+// must stay under planCompileAllocsCeiling.
+func TestPlanCompileAllocs(t *testing.T) {
+	sk, qs := newPlanCompileBench(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, q := range qs {
+			benchPlanSink = sk.PlanQuery(q)
+		}
+	}) / float64(len(qs))
+	t.Logf("%.2f allocations per plan compile", allocs)
+	if allocs > planCompileAllocsCeiling {
+		t.Errorf("plan compile makes %.2f allocations, ceiling %d", allocs, planCompileAllocsCeiling)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xsketch/internal/build"
@@ -296,6 +297,8 @@ func TestDecodeFailureModes(t *testing.T) {
 	}
 
 	t.Run("truncated-header", func(t *testing.T) { check(t, buf[:headerSize-3], ErrTruncated) })
+	t.Run("header-cut-to-20-bytes", func(t *testing.T) { check(t, buf[:20], ErrTruncated) })
+	t.Run("short-non-catalog", func(t *testing.T) { check(t, []byte("not a synopsis\n"), ErrMagic) })
 	t.Run("truncated-payload", func(t *testing.T) { check(t, buf[:len(buf)-5], ErrTruncated) })
 	t.Run("bad-magic", func(t *testing.T) {
 		c := bytes.Clone(buf)
@@ -376,5 +379,18 @@ func TestOpenRejectsNonCatalogFile(t *testing.T) {
 	}
 	if got, _, err := Open(other); !errors.Is(err, ErrMagic) || got != nil {
 		t.Fatalf("Open(non-catalog file) = %v, %v; want ErrMagic", got, err)
+	}
+	// A file shorter than the header is judged by the bytes it has, and
+	// the message names the package once.
+	short := filepath.Join(dir, "short.bin")
+	if err := os.WriteFile(short, []byte("not a synopsis\n"), 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	_, _, err = Open(short)
+	if !errors.Is(err, ErrMagic) || strings.Count(err.Error(), "catalog:") != 1 {
+		t.Fatalf("Open(15-byte text file) = %v; want ErrMagic with one \"catalog:\"", err)
+	}
+	if _, err := ReadInfo(short); !errors.Is(err, ErrMagic) {
+		t.Fatalf("ReadInfo(15-byte text file) = %v; want ErrMagic", err)
 	}
 }

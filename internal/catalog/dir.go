@@ -59,7 +59,8 @@ func Open(path string) (*xsketch.Sketch, Info, error) {
 	defer f.Close()
 	sk, info, err := Decode(f)
 	if err != nil {
-		return nil, Info{}, fmt.Errorf("catalog: open %s: %w", path, err)
+		// The sentinel errors already start with "catalog:".
+		return nil, Info{}, fmt.Errorf("open %s: %w", path, err)
 	}
 	info.Name = entryName(path)
 	info.Path = path
@@ -116,8 +117,8 @@ func ReadInfo(path string) (Info, error) {
 		return Info{}, err
 	}
 	var buf [headerSize + prologueSize]byte
-	if _, err := io.ReadFull(f, buf[:]); err != nil {
-		return Info{}, fmt.Errorf("%w: reading header: %v", ErrTruncated, err)
+	if n, err := io.ReadFull(f, buf[:]); err != nil {
+		return Info{}, shortHeader(buf[:n], err)
 	}
 	version, payloadLen, _, err := parseHeader(buf[:headerSize])
 	if err != nil {

@@ -250,8 +250,8 @@ func appendScope(buf []byte, scope []xsketch.ScopeEdge) []byte {
 // wrapped sentinel error, never a panic.
 func Decode(r io.Reader) (*xsketch.Sketch, Info, error) {
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, Info{}, fmt.Errorf("%w: reading header: %v", ErrTruncated, err)
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, Info{}, shortHeader(hdr[:n], err)
 	}
 	version, payloadLen, sum, err := parseHeader(hdr[:])
 	if err != nil {
@@ -279,6 +279,17 @@ func Decode(r io.Reader) (*xsketch.Sketch, Info, error) {
 	info.Version = version
 	info.FileBytes = int64(headerSize + len(payload))
 	return sk, info, nil
+}
+
+// shortHeader classifies a header read that stopped after the bytes in
+// got: ErrMagic when they already differ from the magic (a short file
+// that is not a catalog file at all), ErrTruncated otherwise.
+func shortHeader(got []byte, err error) error {
+	n := min(len(got), len(magic))
+	if string(got[:n]) != magic[:n] {
+		return ErrMagic
+	}
+	return fmt.Errorf("%w: reading header: %v", ErrTruncated, err)
 }
 
 // parseHeader validates a raw header and returns its version, payload

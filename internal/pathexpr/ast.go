@@ -1,9 +1,8 @@
 package pathexpr
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // Axis selects how a step navigates from its context element.
@@ -38,18 +37,23 @@ func AnyValue() ValuePred { return ValuePred{math.MinInt64, math.MaxInt64} }
 func (v ValuePred) Matches(x int64) bool { return x >= v.Lo && x <= v.Hi }
 
 // String renders the predicate in parseable form.
-func (v ValuePred) String() string {
+func (v ValuePred) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends the predicate's parseable form (String) to b and
+// returns the extended buffer.
+func (v ValuePred) AppendTo(b []byte) []byte {
 	switch {
 	case v.Lo == math.MinInt64 && v.Hi == math.MaxInt64:
-		return ""
+		return b
 	case v.Lo == v.Hi:
-		return fmt.Sprintf("=%d", v.Lo)
+		return strconv.AppendInt(append(b, '='), v.Lo, 10)
 	case v.Lo == math.MinInt64:
-		return fmt.Sprintf("<=%d", v.Hi)
+		return strconv.AppendInt(append(b, "<="...), v.Hi, 10)
 	case v.Hi == math.MaxInt64:
-		return fmt.Sprintf(">=%d", v.Lo)
+		return strconv.AppendInt(append(b, ">="...), v.Lo, 10)
 	default:
-		return fmt.Sprintf("=%d:%d", v.Lo, v.Hi)
+		b = strconv.AppendInt(append(b, '='), v.Lo, 10)
+		return strconv.AppendInt(append(b, ':'), v.Hi, 10)
 	}
 }
 
@@ -74,25 +78,30 @@ type Path struct {
 }
 
 // String renders the path in parseable concrete syntax.
-func (p *Path) String() string {
-	var b strings.Builder
+func (p *Path) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the path's parseable concrete syntax (String) to b and
+// returns the extended buffer.
+func (p *Path) AppendTo(b []byte) []byte {
 	for i, s := range p.Steps {
 		if i == 0 {
 			if s.Axis == Descendant {
-				b.WriteString("//")
+				b = append(b, "//"...)
 			}
+		} else if s.Axis == Descendant {
+			b = append(b, "//"...)
 		} else {
-			b.WriteString(s.Axis.String())
+			b = append(b, '/')
 		}
-		b.WriteString(s.Label)
+		b = append(b, s.Label...)
 		if s.Value != nil {
-			fmt.Fprintf(&b, "[%s]", s.Value)
+			b = append(s.Value.AppendTo(append(b, '[')), ']')
 		}
 		for _, br := range s.Branches {
-			fmt.Fprintf(&b, "[%s]", br)
+			b = append(br.AppendTo(append(b, '[')), ']')
 		}
 	}
-	return b.String()
+	return b
 }
 
 // Clone returns a deep copy of the path.

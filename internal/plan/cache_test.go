@@ -7,9 +7,7 @@ import (
 )
 
 func prog(canonical string, gen uint64) *Program {
-	p := &Program{Canonical: canonical, Generation: gen}
-	p.Finalize()
-	return p
+	return &Program{Canonical: canonical, Generation: gen}
 }
 
 // TestCacheLookupInsert pins the basic key structure: canonical insert,

@@ -19,8 +19,10 @@
 // bucket enumeration binds each expanded dimension to a fixed slot index,
 // and every descendant that conditions on that dimension reads the slot.
 // Scratch state (slots, conditioning values, histogram match buffers) lives
-// in a per-Program sync.Pool, so steady-state execution allocates nothing
-// (asserted via testing.AllocsPerRun).
+// in one sync.Pool shared by every Program; a checked-out Scratch grows to
+// the program's sizing counters, so steady-state execution allocates
+// nothing (asserted via testing.AllocsPerRun) and a freshly compiled
+// program pays for no pool of its own.
 //
 // Cache is a bounded LRU over Programs keyed by the query's canonical form
 // (twig.Query.String), with a bounded set of normalized-text aliases per

@@ -123,8 +123,9 @@ type Tag struct {
 }
 
 // Program is a compiled, executable form of one twig query against one
-// sketch state. Programs are immutable after Finalize and safe for
-// concurrent execution; all mutable state lives in pooled Scratch values.
+// sketch state. Programs are immutable once compiled and safe for
+// concurrent execution; all mutable state lives in Scratch values drawn
+// from one package-wide pool.
 type Program struct {
 	// Canonical is the query's canonical rendering (twig.Query.String),
 	// the primary plan-cache key.
@@ -150,29 +151,36 @@ type Program struct {
 	// DValsLen is the size of the conditioning-value arena (scratch
 	// sizing).
 	DValsLen int
-
-	pool sync.Pool
 }
 
 // Scratch is the per-execution mutable state of a Program: slot bindings,
-// the conditioning-value arena, and per-node histogram match buffers that
-// grow once and are retained across executions.
+// the conditioning-value arena, and per-node histogram match buffers.
+// One pool serves every Program: a checked-out Scratch is grown to the
+// program's sizing counters, and its buffers are retained across
+// executions of any program. Sharing is safe because execution writes
+// every slot, conditioning value and match buffer before reading it, so
+// nothing a previous program left behind is ever read.
 type Scratch struct {
 	slots []float64
 	dvals []float64
 	bufs  [][]histogram.Bucket
 }
 
-// Finalize prepares the program for execution after compilation: it wires
-// the scratch pool to the final sizing counters. The compiler must call it
-// exactly once, before the first Estimate.
-func (p *Program) Finalize() {
-	p.pool.New = func() any {
-		return &Scratch{
-			slots: make([]float64, p.NumSlots),
-			dvals: make([]float64, p.DValsLen),
-			bufs:  make([][]histogram.Bucket, p.NumNodes),
-		}
+// scratchPool is the one Scratch pool shared by all Programs.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// fit grows s to p's sizing counters, keeping the match buffers it has.
+func (s *Scratch) fit(p *Program) {
+	if len(s.slots) < p.NumSlots {
+		s.slots = make([]float64, p.NumSlots)
+	}
+	if len(s.dvals) < p.DValsLen {
+		s.dvals = make([]float64, p.DValsLen)
+	}
+	if len(s.bufs) < p.NumNodes {
+		bufs := make([][]histogram.Bucket, p.NumNodes)
+		copy(bufs, s.bufs)
+		s.bufs = bufs
 	}
 }
 
@@ -190,17 +198,18 @@ func (p *Program) Estimate() (float64, bool) {
 //
 //lint:hotpath cache-hit execution path, zero allocations asserted by TestPlannedZeroAllocsOnHit
 func (p *Program) EstimateContext(ctx context.Context) (float64, bool, error) {
-	s := p.pool.Get().(*Scratch)
+	s := scratchPool.Get().(*Scratch)
+	s.fit(p)
 	total := 0.0
 	for i := range p.Embeddings {
 		if err := ctx.Err(); err != nil {
-			p.pool.Put(s)
+			scratchPool.Put(s)
 			return 0, false, err
 		}
 		em := &p.Embeddings[i]
 		total += em.Base * p.exec(em.Root, s)
 	}
-	p.pool.Put(s)
+	scratchPool.Put(s)
 	return total, p.Truncated, nil
 }
 

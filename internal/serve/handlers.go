@@ -169,15 +169,6 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatchQueries))
 		return
 	}
-	queries := make([]*twig.Query, len(req.Queries))
-	for i, qs := range req.Queries {
-		q, err := twig.Parse(qs)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed twig query %d: %w", i, err))
-			return
-		}
-		queries[i] = q
-	}
 	if len(req.Explain) > 0 && len(req.Explain) != len(req.Queries) {
 		s.writeError(w, http.StatusBadRequest, tid,
 			fmt.Errorf("explain flags length %d != queries length %d", len(req.Explain), len(req.Queries)))
@@ -194,38 +185,34 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Items flagged for explanation run traced, one at a time; the rest go
-	// through the concurrent batch pool. Estimation is pure, so the split
-	// is bit-identical to an all-batch run.
+	// Every item is parsed (on a plan miss) and planned on the batch pool;
+	// items flagged for explanation are only planned there and run traced
+	// below, one at a time. Estimation is pure, so the split is
+	// bit-identical to an all-batch run. Parsing on the pool means a
+	// malformed item is found after admission, once the pool is done.
 	start := time.Now()
-	out := make([]batchResult, len(queries))
-	plainIdx := make([]int, 0, len(queries))
-	for i := range queries {
-		if len(req.Explain) == 0 || !req.Explain[i] {
-			plainIdx = append(plainIdx, i)
-		}
-	}
-	plainQueries := make([]*twig.Query, len(plainIdx))
-	for j, i := range plainIdx {
-		plainQueries[j] = queries[i]
-	}
-	results, err := st.sk.EstimateBatchPlannedContext(ctx, plainQueries, workers)
+	items, err := st.sk.EstimateBatchTextContext(ctx, req.Queries, req.Explain, workers)
 	if err != nil {
 		s.writeEstimateError(w, tid, err)
 		return
 	}
-	for j, i := range plainIdx {
-		out[i] = batchResult{Estimate: results[j].Estimate, Truncated: results[j].Truncated}
+	out := make([]batchResult, len(items))
+	for i := range items {
+		if items[i].Err != nil {
+			s.writeError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed twig query %d: %w", i, items[i].Err))
+			return
+		}
+		out[i] = batchResult{Estimate: items[i].Result.Estimate, Truncated: items[i].Result.Truncated}
 	}
 	// Explained items fail independently: one item's error (a cancelled
 	// trace, an injected fault) is recorded on that item alone and never
 	// discards or reorders the rest of the batch.
-	for i := range queries {
+	for i := range items {
 		if len(req.Explain) == 0 || !req.Explain[i] {
 			continue
 		}
 		rec := trace.NewRecorder(trace.Options{})
-		res, err := st.sk.EstimateQueryTraced(ctx, queries[i], rec)
+		res, err := st.sk.EstimateQueryTraced(ctx, items[i].Plan.Query, rec)
 		if err == nil && s.testHookExplainItem != nil {
 			err = s.testHookExplainItem(i)
 		}
@@ -239,19 +226,19 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(start)
 	s.m.batchLat.Observe(elapsed.Seconds())
-	s.m.batchSize.Add(uint64(len(queries)))
+	s.m.batchSize.Add(uint64(len(items)))
 	for i := range out {
 		if out[i].Truncated {
 			s.m.truncated.With(e.name).Inc()
 		}
 	}
 	if s.aud != nil {
-		for i := range queries {
+		for i := range items {
 			// Items that failed carry no estimate to audit.
 			if out[i].Error != "" || !s.auditSampledItem(r, tid, i) {
 				continue
 			}
-			s.auditEstimate(e, st, queries[i], tid,
+			s.auditEstimate(e, st, items[i].Plan.Query, tid,
 				core.EstimateResult{Estimate: out[i].Estimate, Truncated: out[i].Truncated})
 		}
 	}

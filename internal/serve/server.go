@@ -31,7 +31,7 @@ type Config struct {
 	// Default: 4096.
 	MaxBatchQueries int
 	// BatchWorkers is the worker count handed to
-	// EstimateBatchPlannedContext. Default: GOMAXPROCS.
+	// EstimateBatchTextContext. Default: GOMAXPROCS.
 	BatchWorkers int
 	// EnablePprof mounts net/http/pprof under /debug/pprof.
 	EnablePprof bool

@@ -229,17 +229,30 @@ func TestBatchOverLimit(t *testing.T) {
 	}
 }
 
+// TestBatchMalformedQueryNamesIndex checks that a malformed batch answers
+// 400 naming the lowest bad index, although items are parsed on the batch
+// pool in any order.
 func TestBatchMalformedQueryNamesIndex(t *testing.T) {
 	_, ts := newTestServer(t, newTestSketch(t), nil)
-	reqBody, _ := json.Marshal(batchRequest{Queries: []string{testQuery, "t0 in"}})
-	resp, body := postJSON(t, ts.URL+"/estimate/batch", string(reqBody))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	var er errorResponse
-	json.Unmarshal(body, &er)
-	if !strings.Contains(er.Error, "query 1") {
-		t.Errorf("error %q does not name the failing query index", er.Error)
+	for _, tc := range []struct {
+		queries []string
+		workers int
+		want    string
+	}{
+		{[]string{testQuery, "t0 in"}, 0, "malformed twig query 1: "},
+		{[]string{testQuery, testQuery, testQuery, "t0 in in in", testQuery, "t0 in", testQuery}, 4, "malformed twig query 3: "},
+		{[]string{"t0 in", testQuery, "t0 in in in"}, 1, "malformed twig query 0: "},
+	} {
+		reqBody, _ := json.Marshal(batchRequest{Queries: tc.queries, Workers: tc.workers})
+		resp, body := postJSON(t, ts.URL+"/estimate/batch", string(reqBody))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400", tc.queries, resp.StatusCode)
+		}
+		var er errorResponse
+		json.Unmarshal(body, &er)
+		if !strings.HasPrefix(er.Error, tc.want) {
+			t.Errorf("%q: error %q does not start with %q", tc.queries, er.Error, tc.want)
+		}
 	}
 }
 

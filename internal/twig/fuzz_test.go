@@ -2,8 +2,9 @@ package twig
 
 import "testing"
 
-// FuzzParse checks that the twig parser never panics and that accepted
-// queries round-trip through String.
+// FuzzParse checks that the twig parser never panics, that accepted
+// queries round-trip through String, and that String renders the bytes of
+// the fmt-based oracle.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"for t0 in //movie[/type=5], t1 in t0/actor, t2 in t0/producer",
@@ -26,6 +27,9 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		s := q.String()
+		if want := FmtString(q); s != want {
+			t.Fatalf("String %q != fmt oracle %q", s, want)
+		}
 		q2, err := Parse(s)
 		if err != nil {
 			t.Fatalf("accepted %q but rejected its rendering %q: %v", src, s, err)

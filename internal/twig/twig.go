@@ -1,8 +1,9 @@
 package twig
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"xsketch/internal/pathexpr"
 )
@@ -143,23 +144,40 @@ func (q *Query) Clone() *Query {
 // String renders the query as a for-clause. Variables are renumbered in
 // depth-first order, matching the paper's convention.
 func (q *Query) String() string {
-	var parts []string
-	names := make(map[*Node]string)
-	i := 0
-	q.Walk(func(n, parent *Node, _ int) {
-		name := fmt.Sprintf("t%d", i)
-		names[n] = name
-		i++
-		if parent == nil {
-			parts = append(parts, fmt.Sprintf("%s in %s", name, n.Path))
-		} else {
-			ps := n.Path.String()
-			sep := "/"
-			if strings.HasPrefix(ps, "//") {
-				sep = ""
-			}
-			parts = append(parts, fmt.Sprintf("%s in %s%s%s", name, names[parent], sep, ps))
+	b := append(make([]byte, 0, 64), "for "...)
+	if q.Root != nil {
+		next := 0
+		b = appendBinding(b, q.Root, -1, &next)
+	}
+	return string(b)
+}
+
+// appendBinding appends the binding of n and its subtree in pre-order:
+// "tI in PATH" for the root (parent < 0), "tI in tP/PATH" otherwise, with
+// the separator dropped when the rendered path already starts with "//".
+// next is the pre-order index the binding takes.
+func appendBinding(b []byte, n *Node, parent int, next *int) []byte {
+	i := *next
+	*next++
+	if i > 0 {
+		b = append(b, ", "...)
+	}
+	b = append(strconv.AppendInt(append(b, 't'), int64(i), 10), " in "...)
+	switch {
+	case parent < 0 && n.Path == nil:
+		b = append(b, "<nil>"...)
+	case parent < 0:
+		b = n.Path.AppendTo(b)
+	default:
+		b = append(strconv.AppendInt(append(b, 't'), int64(parent), 10), '/')
+		sep := len(b) - 1
+		b = n.Path.AppendTo(b)
+		if bytes.HasPrefix(b[sep+1:], []byte("//")) {
+			b = append(b[:sep], b[sep+1:]...)
 		}
-	})
-	return "for " + strings.Join(parts, ", ")
+	}
+	for _, c := range n.Children {
+		b = appendBinding(b, c, i, next)
+	}
+	return b
 }

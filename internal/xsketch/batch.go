@@ -48,15 +48,16 @@ func (sk *Sketch) EstimateBatch(queries []*twig.Query, workers int) []EstimateRe
 
 // runBatch is the one batch worker pool: it fills out[i] = est(i) for
 // every i in [0, n) on up to workers goroutines (<= 0 selects GOMAXPROCS)
-// and returns the slice in input order. est must fail only by observing
+// and returns the slice in input order. Items that can fail on their own
+// carry the failure in T. est must fail only by observing
 // ctx's cancellation. Workers claim indices from a shared counter and stop
 // claiming once ctx is done; runBatch then returns ctx.Err() with the
 // partially filled slice, whose never-estimated entries stay at their zero
 // value. Each index is written by exactly one worker, so results do not
 // depend on the worker count. The counter, rather than a channel feed,
 // keeps the per-query hand-off cost far below a warm-cache estimate.
-func runBatch(ctx context.Context, n, workers int, est func(i int) (EstimateResult, error)) ([]EstimateResult, error) {
-	out := make([]EstimateResult, n)
+func runBatch[T any](ctx context.Context, n, workers int, est func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}

@@ -49,8 +49,9 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunBatch is the table test of the shared batch worker pool: both
-// batch entry points, interpreted and planned, return results in input
+// TestRunBatch is the table test of the shared batch worker pool: the
+// batch entry points, interpreted, planned and planned from text, return
+// results in input
 // order, Float64bits-identical to sequential estimation, for any worker
 // count (0 = GOMAXPROCS, 1 = inline, and more workers than queries).
 func TestRunBatch(t *testing.T) {
@@ -66,6 +67,21 @@ func TestRunBatch(t *testing.T) {
 		},
 		"planned": func(sk *Sketch, workers int) ([]EstimateResult, error) {
 			return sk.EstimateBatchPlannedContext(context.Background(), qs, workers)
+		},
+		"text": func(sk *Sketch, workers int) ([]EstimateResult, error) {
+			texts := make([]string, len(qs))
+			for i, q := range qs {
+				texts[i] = q.String()
+			}
+			items, err := sk.EstimateBatchTextContext(context.Background(), texts, nil, workers)
+			out := make([]EstimateResult, len(items))
+			for i, it := range items {
+				if it.Err != nil || it.Plan == nil {
+					t.Fatalf("text item %d: plan %v, err %v", i, it.Plan, it.Err)
+				}
+				out[i] = it.Result
+			}
+			return out, err
 		},
 	}
 	for name, run := range paths {
@@ -259,5 +275,40 @@ func TestEstimateBatchDegenerateInputs(t *testing.T) {
 			t.Fatalf("workers=%d: %d results", workers, len(res))
 		}
 		approx(t, res[0].Estimate, 3, 1e-9, "author count")
+	}
+}
+
+// TestEstimateBatchTextContextItems checks the per-item outcomes of a text
+// batch: a malformed item carries its parse error and no plan without
+// failing the batch, a skipped item is planned but not executed, and
+// every plan's Query renders as its item's text.
+func TestEstimateBatchTextContextItems(t *testing.T) {
+	d, qs := xmarkQueries(6)
+	sk := New(d, DefaultConfig())
+	texts := []string{qs[0].String(), qs[1].String(), "t0 in", qs[2].String(), "t0 in in in"}
+	skip := []bool{false, true, false, false, false}
+	for _, workers := range []int{1, 3} {
+		items, err := sk.EstimateBatchTextContext(context.Background(), texts, skip, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, it := range items {
+			if i == 2 || i == 4 {
+				if it.Err == nil || it.Plan != nil || it.Result != (EstimateResult{}) {
+					t.Fatalf("workers=%d item %d: %+v, want only a parse error", workers, i, it)
+				}
+				continue
+			}
+			if it.Err != nil || it.Plan == nil || it.Plan.Query.String() != texts[i] {
+				t.Fatalf("workers=%d item %d: %+v, want the plan of %q", workers, i, it, texts[i])
+			}
+			want := EstimateResult{}
+			if !skip[i] {
+				want = sk.EstimateQueryResult(twig.MustParse(texts[i]))
+			}
+			if math.Float64bits(it.Result.Estimate) != math.Float64bits(want.Estimate) || it.Result.Truncated != want.Truncated {
+				t.Fatalf("workers=%d item %d: %+v, want %+v", workers, i, it.Result, want)
+			}
+		}
 	}
 }

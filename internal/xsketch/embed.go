@@ -1,8 +1,8 @@
 package xsketch
 
 import (
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 
 	"xsketch/internal/graphsyn"
 	"xsketch/internal/pathexpr"
@@ -98,11 +98,8 @@ func (sk *Sketch) embeddingsTraced(q *twig.Query, rec *trace.Recorder) ([]*Embed
 	if bud.left <= 0 {
 		bud.left = 1 << 30
 	}
-	alts := sk.embedTwig(rootSyn, q.Root, bud)
-	out := make([]*Embedding, 0, len(alts))
-	for _, a := range alts {
-		out = append(out, &Embedding{Root: &EmbNode{Syn: rootSyn, Children: []*EmbNode{a}}})
-	}
+	alts := sk.embedTwig(rootSyn, q.Root.Path.Steps, q.Root.Children, bud)
+	out := wrapEmbeddings(make([]*Embedding, 0, len(alts)), rootSyn, alts)
 	// Root-self interpretation of absolute paths (mirroring eval): a
 	// child-axis first step naming the root element's tag consumes the
 	// virtual root itself, its predicates attaching there.
@@ -116,9 +113,7 @@ func (sk *Sketch) embeddingsTraced(q *twig.Query, rec *trace.Recorder) ([]*Embed
 					}})
 				}
 			} else {
-				rq := q.Clone()
-				rq.Root.Path.Steps = rq.Root.Path.Steps[1:]
-				for _, alt := range sk.embedTwig(rootSyn, rq.Root, bud) {
+				for _, alt := range sk.embedTwig(rootSyn, steps[1:], q.Root.Children, bud) {
 					out = append(out, &Embedding{Root: &EmbNode{
 						Syn: rootSyn, Value: step0.Value, Branches: step0.Branches, Children: []*EmbNode{alt},
 					}})
@@ -137,21 +132,47 @@ func (sk *Sketch) embeddingsTraced(q *twig.Query, rec *trace.Recorder) ([]*Embed
 	return deduped, bud.truncated
 }
 
+// wrapEmbeddings appends one embedding per alternative to out, each under
+// its own virtual root node for rootSyn. The roots and their one-element
+// child lists share two slabs.
+func wrapEmbeddings(out []*Embedding, rootSyn graphsyn.NodeID, alts []*EmbNode) []*Embedding {
+	ems := make([]Embedding, len(alts))
+	roots := make([]EmbNode, len(alts))
+	kids := make([]*EmbNode, len(alts))
+	for i, a := range alts {
+		kids[i] = a
+		roots[i] = EmbNode{Syn: rootSyn, Children: kids[i : i+1 : i+1]}
+		ems[i].Root = &roots[i]
+		out = append(out, &ems[i])
+	}
+	return out
+}
+
 // dedupeEmbeddings drops embeddings whose trees are structurally identical
 // (same synopsis nodes, predicates and shape) to an earlier one, preserving
-// enumeration order.
+// enumeration order. All signatures are rendered into one buffer that
+// becomes a single string, so the keys cost one allocation together.
 func dedupeEmbeddings(ems []*Embedding) []*Embedding {
 	if len(ems) < 2 {
 		return ems
 	}
-	seen := make(map[string]bool, len(ems))
+	var buf []byte
+	ends := make([]int, len(ems))
+	for i, em := range ems {
+		buf = appendEmbSig(buf, em.Root)
+		ends[i] = len(buf)
+	}
+	sigs := string(buf)
+	seen := make(map[string]struct{}, len(ems))
 	out := ems[:0]
-	for _, em := range ems {
-		sig := embSig(em.Root)
-		if seen[sig] {
+	start := 0
+	for i, em := range ems {
+		sig := sigs[start:ends[i]]
+		start = ends[i]
+		if _, dup := seen[sig]; dup {
 			continue
 		}
-		seen[sig] = true
+		seen[sig] = struct{}{}
 		out = append(out, em)
 	}
 	return out
@@ -159,27 +180,30 @@ func dedupeEmbeddings(ems []*Embedding) []*Embedding {
 
 // embSig renders an embedding subtree as a canonical signature string.
 func embSig(n *EmbNode) string {
-	var b strings.Builder
-	writeEmbSig(&b, n)
-	return b.String()
+	return string(appendEmbSig(nil, n))
 }
 
-func writeEmbSig(b *strings.Builder, n *EmbNode) {
-	fmt.Fprintf(b, "n%d", n.Syn)
+// appendEmbSig appends the signature of the subtree at n to b: "n<syn>",
+// then "{lo:hi}" for a value predicate, "[path]" per branch, and the
+// children's signatures in parentheses, comma-separated.
+func appendEmbSig(b []byte, n *EmbNode) []byte {
+	b = strconv.AppendInt(append(b, 'n'), int64(n.Syn), 10)
 	if n.Value != nil {
-		fmt.Fprintf(b, "{%d:%d}", n.Value.Lo, n.Value.Hi)
+		b = strconv.AppendInt(append(b, '{'), n.Value.Lo, 10)
+		b = strconv.AppendInt(append(b, ':'), n.Value.Hi, 10)
+		b = append(b, '}')
 	}
 	for _, br := range n.Branches {
-		fmt.Fprintf(b, "[%s]", br)
+		b = append(br.AppendTo(append(b, '[')), ']')
 	}
-	b.WriteByte('(')
+	b = append(b, '(')
 	for i, c := range n.Children {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		writeEmbSig(b, c)
+		b = appendEmbSig(b, c)
 	}
-	b.WriteByte(')')
+	return append(b, ')')
 }
 
 // embedChildren enumerates the cartesian combinations of the children's
@@ -189,7 +213,7 @@ func writeEmbSig(b *strings.Builder, n *EmbNode) {
 func (sk *Sketch) embedChildren(ctx graphsyn.NodeID, children []*twig.Node, bud *embedBudget) [][]*EmbNode {
 	alts := make([][]*EmbNode, len(children))
 	for i, ct := range children {
-		alts[i] = sk.embedTwig(ctx, ct, bud)
+		alts[i] = sk.embedTwig(ctx, ct.Path.Steps, ct.Children, bud)
 		if len(alts[i]) == 0 {
 			return nil
 		}
@@ -215,31 +239,40 @@ func (sk *Sketch) embedChildren(ctx graphsyn.NodeID, children []*twig.Node, bud 
 	return out
 }
 
-// chain is a single-path realization of one twig node's path expression:
-// head is attached under the parent context, tail receives the twig node's
-// children.
-type chain struct {
-	head, tail *EmbNode
+// link is one node of a chain, the single-path realization of a twig
+// node's path expression: a synopsis node plus, for the node reached by a
+// labeled step, that step (whose value and branching predicates apply
+// there). Intermediate nodes of a '//' expansion carry a nil step. A
+// chain's first link hangs under the parent context; its last link
+// receives the twig node's children.
+type link struct {
+	syn  graphsyn.NodeID
+	step *pathexpr.Step
 }
 
-// embedTwig returns the alternative embedded subtrees for twig node t
-// evaluated from synopsis context ctx. Even with the budget exhausted it
-// yields at least one subtree whenever t is structurally embeddable, so a
-// truncated enumeration never collapses an embeddable query to zero
-// embeddings (it returns a prefix of the full set instead).
-func (sk *Sketch) embedTwig(ctx graphsyn.NodeID, t *twig.Node, bud *embedBudget) []*EmbNode {
-	chains := sk.embedPath(ctx, t.Path.Steps, bud)
+// embedTwig returns the alternative embedded subtrees for a twig node with
+// the given path steps and children, evaluated from synopsis context ctx.
+// Even with the budget exhausted it yields at least one subtree whenever
+// the node is structurally embeddable, so a truncated enumeration never
+// collapses an embeddable query to zero embeddings (it returns a prefix of
+// the full set instead).
+func (sk *Sketch) embedTwig(ctx graphsyn.NodeID, steps []*pathexpr.Step, children []*twig.Node, bud *embedBudget) []*EmbNode {
+	// Stack buffers for the usual short chain and few alternatives.
+	var prefix [16]link
+	var chainBuf [4][]link
+	chains := sk.embedPath(ctx, steps, prefix[:0], chainBuf[:0], bud)
 	if len(chains) == 0 {
 		return nil
 	}
 	var out []*EmbNode
+	childAlts := make([][]*EmbNode, len(children))
+	combo := make([]*EmbNode, len(children))
 	for _, ch := range chains {
 		// Embed each twig child from the chain tail; collect the
 		// alternatives per child.
-		childAlts := make([][]*EmbNode, len(t.Children))
 		ok := true
-		for i, ct := range t.Children {
-			childAlts[i] = sk.embedTwig(ch.tail.Syn, ct, bud)
+		for i, ct := range children {
+			childAlts[i] = sk.embedTwig(ch[len(ch)-1].syn, ct.Path.Steps, ct.Children, bud)
 			if len(childAlts[i]) == 0 {
 				ok = false
 				break
@@ -249,14 +282,11 @@ func (sk *Sketch) embedTwig(ctx graphsyn.NodeID, t *twig.Node, bud *embedBudget)
 			continue
 		}
 		// Cartesian product over the children's alternatives; each
-		// combination needs its own copy of the chain.
-		combo := make([]*EmbNode, len(t.Children))
+		// combination materializes its own copy of the chain.
 		var emit func(i int)
 		emit = func(i int) {
-			if i == len(t.Children) {
-				c := cloneChain(ch)
-				c.tail.Children = append(c.tail.Children, combo...)
-				out = append(out, c.head)
+			if i == len(children) {
+				out = append(out, materialize(ch, combo))
 				bud.left--
 				return
 			}
@@ -276,100 +306,55 @@ func (sk *Sketch) embedTwig(ctx graphsyn.NodeID, t *twig.Node, bud *embedBudget)
 	return out
 }
 
-// embedPath enumerates the chains realizing a path expression from ctx.
-func (sk *Sketch) embedPath(ctx graphsyn.NodeID, steps []*pathexpr.Step, bud *embedBudget) []chain {
+// materialize builds the embedded subtree of one chain with the given
+// children under its tail, from one node slab and one child-pointer slab.
+// The children themselves are shared, not copied.
+func materialize(ch []link, children []*EmbNode) *EmbNode {
+	nodes := make([]EmbNode, len(ch))
+	kids := make([]*EmbNode, len(ch)-1+len(children))
+	last := len(ch) - 1
+	for i, l := range ch {
+		n := &nodes[i]
+		n.Syn = l.syn
+		if l.step != nil {
+			n.Value, n.Branches = l.step.Value, l.step.Branches
+		}
+		if i < last {
+			kids[i] = &nodes[i+1]
+			n.Children = kids[i : i+1 : i+1]
+		}
+	}
+	if len(children) > 0 {
+		nodes[last].Children = append(kids[last:last], children...)
+	}
+	return &nodes[0]
+}
+
+// embedPath appends to out every chain realizing steps from ctx, in
+// enumeration order: each is prefix followed by the links of one
+// realization per step. prefix is the caller's chain so far; appends to it
+// may reuse its spare capacity, so every emitted chain is a fresh copy.
+func (sk *Sketch) embedPath(ctx graphsyn.NodeID, steps []*pathexpr.Step, prefix []link, out [][]link, bud *embedBudget) [][]link {
 	if len(steps) == 0 {
-		return nil
+		return out
 	}
 	step := steps[0]
-	var out []chain
 	for _, seq := range sk.expandStepTraced(ctx, step, bud.rec) {
 		// seq is the node sequence realizing this step (intermediate '//'
 		// nodes followed by the labeled target).
-		head, tail := buildChain(seq)
-		tail.Value = step.Value
-		tail.Branches = step.Branches
+		ch := prefix
+		for _, id := range seq[:len(seq)-1] {
+			ch = append(ch, link{syn: id})
+		}
+		tail := seq[len(seq)-1]
+		ch = append(ch, link{syn: tail, step: step})
 		if len(steps) == 1 {
-			out = append(out, chain{head, tail})
+			out = append(out, slices.Clone(ch))
 			continue
 		}
-		for _, rest := range sk.embedPath(tail.Syn, steps[1:], bud) {
-			c := cloneChain(chain{head, tail})
-			c.tail.Children = append(c.tail.Children, rest.head)
-			out = append(out, chain{c.head, rest.tail})
-		}
+		out = sk.embedPath(tail, steps[1:], ch, out, bud)
 	}
 	return out
-}
-
-// cloneChain deep-copies the spine from head to tail (children hanging off
-// the spine are shared; the enumeration only ever appends to tails of fresh
-// clones). It returns the cloned chain.
-func cloneChain(c chain) chain {
-	// The spine is the path of last-children? No: chains are built so that
-	// each spine node has exactly the next spine node among its children
-	// (appended last). We copy nodes along the spine by following the
-	// recorded structure: walk from head following the child that leads to
-	// tail. Since chains are trees built here, the spine is the unique path
-	// head..tail; we rebuild it.
-	spine := findSpine(c.head, c.tail)
-	var prevCopy *EmbNode
-	var headCopy, tailCopy *EmbNode
-	for i, n := range spine {
-		cp := &EmbNode{Syn: n.Syn, Value: n.Value, Branches: n.Branches}
-		cp.Children = append(cp.Children, n.Children...)
-		if i > 0 {
-			// Replace the spine child in the parent copy.
-			for j, ch := range prevCopy.Children {
-				if ch == spine[i] {
-					prevCopy.Children[j] = cp
-					break
-				}
-			}
-		} else {
-			headCopy = cp
-		}
-		prevCopy = cp
-		tailCopy = cp
-	}
-	return chain{headCopy, tailCopy}
-}
-
-// findSpine returns the node path from head to tail within the embedded
-// subtree.
-func findSpine(head, tail *EmbNode) []*EmbNode {
-	var path []*EmbNode
-	var dfs func(n *EmbNode) bool
-	dfs = func(n *EmbNode) bool {
-		path = append(path, n)
-		if n == tail {
-			return true
-		}
-		for _, c := range n.Children {
-			if dfs(c) {
-				return true
-			}
-		}
-		path = path[:len(path)-1]
-		return false
-	}
-	dfs(head)
-	return path
-}
-
-// buildChain converts a synopsis-node sequence into a linked chain of
-// embedding nodes, returning head and tail.
-func buildChain(seq []graphsyn.NodeID) (head, tail *EmbNode) {
-	for _, id := range seq {
-		n := &EmbNode{Syn: id}
-		if head == nil {
-			head = n
-		} else {
-			tail.Children = append(tail.Children, n)
-		}
-		tail = n
-	}
-	return head, tail
 }
 
 // expandStepUncached enumerates the synopsis-node sequences realizing one
@@ -437,8 +422,13 @@ func (e *Embedding) Walk(fn func(n, parent *EmbNode)) {
 }
 
 // Size returns the number of embedding nodes (excluding the virtual root).
-func (e *Embedding) Size() int {
-	n := 0
-	e.Walk(func(*EmbNode, *EmbNode) { n++ })
-	return n
+func (e *Embedding) Size() int { return countEmbNodes(e.Root) - 1 }
+
+// countEmbNodes returns the node count of the embedding subtree at n.
+func countEmbNodes(n *EmbNode) int {
+	c := 1
+	for _, ch := range n.Children {
+		c += countEmbNodes(ch)
+	}
+	return c
 }

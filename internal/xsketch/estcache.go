@@ -1,6 +1,7 @@
 package xsketch
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -62,14 +63,6 @@ type expandKey struct {
 // edgeKey identifies one estEdgeCount lookup.
 type edgeKey struct{ u, v graphsyn.NodeID }
 
-// existsKey identifies one existsFraction result: the context node plus a
-// canonical rendering of the remaining branch steps (the parseable path
-// syntax, which is collision-free).
-type existsKey struct {
-	node  graphsyn.NodeID
-	steps string
-}
-
 // estimatorCache holds the three memo tables behind one RWMutex. Lookups
 // take the read lock; inserts take the write lock. Two goroutines missing
 // on the same key both compute the (identical) value and the second store
@@ -78,14 +71,15 @@ type estimatorCache struct {
 	mu     sync.RWMutex
 	expand map[expandKey][][]graphsyn.NodeID
 	edge   map[edgeKey]float64
-	exists map[existsKey]float64
+	// exists is keyed by appendExistsKey.
+	exists map[string]float64
 }
 
 func newEstimatorCache() *estimatorCache {
 	return &estimatorCache{
 		expand: make(map[expandKey][][]graphsyn.NodeID),
 		edge:   make(map[edgeKey]float64),
-		exists: make(map[existsKey]float64),
+		exists: make(map[string]float64),
 	}
 }
 
@@ -276,11 +270,13 @@ func (sk *Sketch) estEdgeCountOutcome(u, v graphsyn.NodeID) (float64, string) {
 // defensive against pathological hand-built queries.
 const maxExistsDepth = 64
 
-// stepsSig renders a step list as its canonical parseable path syntax,
-// which is injective over step lists and therefore a collision-free cache
-// key component.
-func stepsSig(steps []*pathexpr.Step) string {
-	return (&pathexpr.Path{Steps: steps}).String()
+// appendExistsKey appends the memo key of one existsFraction result to b:
+// the context node in decimal, a space, then the remaining branch steps in
+// their canonical parseable path syntax. The syntax is injective over step
+// lists and the digits end at the space, so keys never collide.
+func appendExistsKey(b []byte, id graphsyn.NodeID, steps []*pathexpr.Step) []byte {
+	b = append(strconv.AppendInt(b, int64(id), 10), ' ')
+	return (&pathexpr.Path{Steps: steps}).AppendTo(b)
 }
 
 // existsFraction estimates P(an element of node id has >= 1 match of the
@@ -307,9 +303,12 @@ func (sk *Sketch) existsFractionOutcome(id graphsyn.NodeID, steps []*pathexpr.St
 		return v, clean, trace.CacheOff
 	}
 	c := sk.estCache()
-	k := existsKey{node: id, steps: stepsSig(steps)}
+	// The key is rendered into a stack buffer: the lookup converts it
+	// without allocating, and only a miss copies it into the table.
+	var kb [128]byte
+	k := appendExistsKey(kb[:0], id, steps)
 	c.mu.RLock()
-	v, ok := c.exists[k]
+	v, ok := c.exists[string(k)]
 	c.mu.RUnlock()
 	if ok {
 		sk.est.hits.Add(1)
@@ -319,7 +318,7 @@ func (sk *Sketch) existsFractionOutcome(id graphsyn.NodeID, steps []*pathexpr.St
 	v, clean := sk.existsFractionUncached(id, steps, depth)
 	if clean {
 		c.mu.Lock()
-		c.exists[k] = v
+		c.exists[string(k)] = v
 		c.mu.Unlock()
 	}
 	return v, clean, trace.CacheMiss

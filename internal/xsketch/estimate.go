@@ -60,21 +60,23 @@ type estimator struct {
 
 func newEstimator(sk *Sketch, em *Embedding) *estimator {
 	e := &estimator{sk: sk, condSet: map[ScopeEdge]bool{}}
-	var scan func(n *EmbNode)
-	scan = func(n *EmbNode) {
-		if s := sk.Summaries[n.Syn]; s != nil {
-			for _, se := range s.Scope {
-				if se.From != n.Syn {
-					e.condSet[se] = true
-				}
+	e.scan(em.Root)
+	return e
+}
+
+// scan adds to condSet every scope edge that a node of the subtree at n
+// conditions on as a backward count.
+func (e *estimator) scan(n *EmbNode) {
+	if s := e.sk.Summaries[n.Syn]; s != nil {
+		for _, se := range s.Scope {
+			if se.From != n.Syn {
+				e.condSet[se] = true
 			}
 		}
-		for _, c := range n.Children {
-			scan(c)
-		}
 	}
-	scan(em.Root)
-	return e
+	for _, c := range n.Children {
+		e.scan(c)
+	}
 }
 
 // assignment records the count values fixed by ancestor bucket choices,
@@ -91,6 +93,16 @@ type vdUse struct {
 	vd       *ValueDim
 	pred     *pathexpr.ValuePred
 	countDim int
+}
+
+// coveredChild is one embedding child as the TREEPARSE split sees it: dim
+// is the scope dimension it expands (-1 when uncovered), and skip marks
+// that its value predicate is consumed through the parent's value
+// dimension.
+type coveredChild struct {
+	child *EmbNode
+	dim   int
+	skip  bool
 }
 
 // contrib returns the expected number of binding tuples of the
@@ -167,14 +179,7 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 	// TREEPARSE sets: covered children expand scope dims (E_i), the rest
 	// fall to Forward Uniformity (U_i); D_i is the subset of scope assigned
 	// by ancestors.
-	type coveredChild struct {
-		child *EmbNode
-		dim   int
-		skip  bool // child's value predicate consumed via a value dim
-	}
-	var covered []coveredChild
-	var uncovered []*EmbNode
-	uncoveredSkip := map[*EmbNode]bool{}
+	var covered, uncovered []coveredChild
 	for _, c := range n.Children {
 		cc := coveredChild{child: c, dim: scopeIndex(scope, ScopeEdge{From: n.Syn, To: c.Syn})}
 		// A child's value predicate correlates with this node's extended
@@ -188,10 +193,7 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 		if cc.dim >= 0 {
 			covered = append(covered, cc)
 		} else {
-			uncovered = append(uncovered, c)
-			if cc.skip {
-				uncoveredSkip[c] = true
-			}
+			uncovered = append(uncovered, cc)
 		}
 	}
 
@@ -215,8 +217,8 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 				tn.Children = append(tn.Children, e.newTraceNode(cc.child))
 			}
 			for _, c := range uncovered {
-				tn.Uniform = append(tn.Uniform, int(c.Syn))
-				tn.Children = append(tn.Children, e.newTraceNode(c))
+				tn.Uniform = append(tn.Uniform, int(c.child.Syn))
+				tn.Children = append(tn.Children, e.newTraceNode(c.child))
 			}
 			for i, d := range dDims {
 				se := scope[d]
@@ -242,11 +244,11 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 
 	uncMult := 1.0
 	for _, c := range uncovered {
-		v, outcome := e.avgCount(n.Syn, c.Syn)
+		v, outcome := e.avgCount(n.Syn, c.child.Syn)
 		if first {
 			tn.Terms = append(tn.Terms, trace.Term{
 				Kind:       trace.TermAvgCount,
-				Detail:     fmt.Sprintf("%d->%d", n.Syn, c.Syn),
+				Detail:     fmt.Sprintf("%d->%d", n.Syn, c.child.Syn),
 				Value:      v,
 				Assumption: trace.AssumptionFU,
 				Cache:      outcome,
@@ -289,7 +291,7 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 			}
 		}
 		for j, c := range uncovered {
-			uncMult *= e.contrib(c, assigned, uncoveredSkip[c], tnChild(childTNs, len(covered)+j))
+			uncMult *= e.contrib(c.child, assigned, c.skip, tnChild(childTNs, len(covered)+j))
 		}
 		return done(tn, first, trace.ModeFactorized, factor*uncMult*part)
 	}
@@ -350,7 +352,7 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 		}
 		if w != 0 {
 			for j, c := range uncovered {
-				w *= e.contrib(c, ext, uncoveredSkip[c], tnChild(childTNs, len(covered)+j))
+				w *= e.contrib(c.child, ext, c.skip, tnChild(childTNs, len(covered)+j))
 				if w == 0 {
 					break
 				}

@@ -2,7 +2,8 @@ package xsketch
 
 import (
 	"context"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"xsketch/internal/pathexpr"
@@ -16,9 +17,13 @@ import (
 // plan.Program, and serves programs from a per-sketch LRU keyed by the
 // query's canonical form (with whitespace-normalized text aliases, so
 // equivalent spellings share one plan). Compiled execution performs only
-// histogram lookups and float arithmetic into pooled scratch, is
-// bit-identical to the interpreter, and allocates nothing on the cache-hit
-// path (both asserted in planner_test.go).
+// histogram lookups and float arithmetic into scratch drawn from the one
+// pool that internal/plan shares across all programs, is bit-identical to
+// the interpreter, and allocates nothing on the cache-hit path (both
+// asserted in planner_test.go). A miss is kept cheap as well: the
+// canonical key and every signature are rendered by appending, and the
+// compiled nodes come from slabs (allocations capped by
+// TestPlanCompileAllocs in the root package).
 //
 // Invalidation rides on the estimator-cache generation (estcache.go):
 // every program records the generation it was compiled under, every
@@ -157,10 +162,45 @@ func (sk *Sketch) EstimateBatchPlannedContext(ctx context.Context, queries []*tw
 	})
 }
 
+// BatchItem is one query text's outcome from EstimateBatchTextContext.
+type BatchItem struct {
+	// Result is the planned estimate; zero for a skipped or failed item.
+	Result EstimateResult
+	// Plan is the item's compiled plan, whose Query is the parsed text;
+	// nil when Err is set.
+	Plan *plan.Program
+	// Err is the item's parse error.
+	Err error
+}
+
+// EstimateBatchTextContext runs a batch of query texts on the batch worker
+// pool: each item is planned through PlanQueryText, so a plan hit also
+// skips the parse, and then executed unless skip[i] is set (skip is empty
+// or parallel to texts). An item that does not parse records its error in
+// its BatchItem and the rest of the batch still runs. Results are
+// bit-identical to EstimateBatchPlannedContext over the parsed queries,
+// and cancellation behaves the same way.
+func (sk *Sketch) EstimateBatchTextContext(ctx context.Context, texts []string, skip []bool, workers int) ([]BatchItem, error) {
+	return runBatch(ctx, len(texts), workers, func(i int) (BatchItem, error) {
+		p, err := sk.PlanQueryText(texts[i])
+		if err != nil {
+			return BatchItem{Err: err}, nil
+		}
+		if len(skip) > 0 && skip[i] {
+			return BatchItem{Plan: p}, nil
+		}
+		res, err := sk.EstimatePlanContext(ctx, p)
+		if err != nil {
+			return BatchItem{}, err
+		}
+		return BatchItem{Result: res, Plan: p}, nil
+	})
+}
+
 // compileProgram compiles a query into an executable program against the
 // current sketch state, tagged with the given generation. The compiler
 // reuses the interpreter's own enumeration and term computations
-// (EmbeddingsTruncated, newEstimator, valueFraction, existsFraction,
+// (EmbeddingsTruncated, estimator.scan, valueFraction, existsFraction,
 // avgCount), evaluating every constant in the interpreter's order, so the
 // frozen constants are the bits the interpreter would produce.
 func (sk *Sketch) compileProgram(q *twig.Query, canonical string, gen uint64) *plan.Program {
@@ -171,53 +211,60 @@ func (sk *Sketch) compileProgram(q *twig.Query, canonical string, gen uint64) *p
 		Generation: gen,
 		Truncated:  truncated,
 		Tags:       sk.internTags(q),
+		Embeddings: make([]plan.Emb, 0, len(ems)),
 	}
-	pc := &planCompiler{sk: sk, prog: p, env: map[ScopeEdge]int{}}
+	// Every compiled node, and every child pointer, comes from one slab
+	// sized by the embedding node count (pruned subtrees leave it short).
+	n := 0
 	for _, em := range ems {
-		pc.est = newEstimator(sk, em)
+		n += em.Size() + 1 // the virtual root compiles too
+	}
+	pc := &planCompiler{sk: sk, prog: p, env: map[ScopeEdge]int{},
+		est:   &estimator{sk: sk, condSet: map[ScopeEdge]bool{}},
+		nodes: make([]plan.Node, n), kids: make([]*plan.Node, n)}
+	for _, em := range ems {
+		clear(pc.est.condSet)
+		pc.est.scan(em.Root)
 		root := pc.node(em.Root, false)
 		p.Embeddings = append(p.Embeddings, plan.Emb{
 			Base: float64(sk.Syn.Node(em.Root.Syn).Count()),
 			Root: root,
 		})
 	}
-	p.Finalize()
 	return p
 }
 
 // internTags resolves every distinct step label of the query (including
 // branch predicates) to its document tag ID, sorted by label for
-// deterministic plan rendering.
+// deterministic plan rendering. A query has a handful of labels, so each
+// new one is inserted into the sorted slice in place.
 func (sk *Sketch) internTags(q *twig.Query) []plan.Tag {
-	seen := map[string]int{}
-	var steps func(ss []*pathexpr.Step)
-	steps = func(ss []*pathexpr.Step) {
-		for _, st := range ss {
-			if _, ok := seen[st.Label]; !ok {
-				id := -1
-				if tag, ok := sk.Syn.Doc.LookupTag(st.Label); ok {
-					id = int(tag)
-				}
-				seen[st.Label] = id
-			}
-			for _, br := range st.Branches {
-				steps(br.Steps)
-			}
-		}
-	}
+	tags := make([]plan.Tag, 0, 8)
 	q.Walk(func(n, _ *twig.Node, _ int) {
 		if n.Path != nil {
-			steps(n.Path.Steps)
+			tags = sk.internStepTags(tags, n.Path.Steps)
 		}
 	})
-	labels := make([]string, 0, len(seen))
-	for l := range seen {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	tags := make([]plan.Tag, len(labels))
-	for i, l := range labels {
-		tags[i] = plan.Tag{Label: l, ID: seen[l]}
+	return tags
+}
+
+// internStepTags adds the labels of steps and their branches to the
+// sorted tag table.
+func (sk *Sketch) internStepTags(tags []plan.Tag, steps []*pathexpr.Step) []plan.Tag {
+	for _, st := range steps {
+		i, found := slices.BinarySearchFunc(tags, st.Label, func(t plan.Tag, label string) int {
+			return strings.Compare(t.Label, label)
+		})
+		if !found {
+			id := -1
+			if tag, ok := sk.Syn.Doc.LookupTag(st.Label); ok {
+				id = int(tag)
+			}
+			tags = slices.Insert(tags, i, plan.Tag{Label: st.Label, ID: id})
+		}
+		for _, br := range st.Branches {
+			tags = sk.internStepTags(tags, br.Steps)
+		}
 	}
 	return tags
 }
@@ -226,12 +273,23 @@ func (sk *Sketch) internTags(q *twig.Query) []plan.Tag {
 // image of the interpreter's runtime assignment map: it binds each scope
 // edge expanded by an enumerating ancestor to the slot that will carry the
 // bucket's coordinate at execution time, with lexical push/pop mirroring
-// the per-bucket set/delete of the interpreter.
+// the per-bucket set/delete of the interpreter. nodes and kids are the
+// program's node and child-pointer slabs, consumed front to back.
 type planCompiler struct {
-	sk   *Sketch
-	est  *estimator
-	prog *plan.Program
-	env  map[ScopeEdge]int
+	sk    *Sketch
+	est   *estimator
+	prog  *plan.Program
+	env   map[ScopeEdge]int
+	nodes []plan.Node
+	kids  []*plan.Node
+}
+
+// takeKids reserves room for n child pointers from the slab, as an empty
+// slice with capacity n.
+func (pc *planCompiler) takeKids(n int) []*plan.Node {
+	k := pc.kids[:0:n]
+	pc.kids = pc.kids[n:]
+	return k
 }
 
 // node compiles one embedding node, mirroring the interpreter's contrib
@@ -268,7 +326,9 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		factor *= v
 	}
 
-	pn := &plan.Node{Syn: int(n.Syn), Index: pc.prog.NumNodes, Factor: factor, UncBase: 1}
+	pn := &pc.nodes[0]
+	pc.nodes = pc.nodes[1:]
+	*pn = plan.Node{Syn: int(n.Syn), Index: pc.prog.NumNodes, Factor: factor, UncBase: 1}
 	pc.prog.NumNodes++
 	if factor == 0 {
 		pn.Mode = plan.ModeZero
@@ -279,14 +339,10 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		return pn
 	}
 
-	type coveredChild struct {
-		child *EmbNode
-		dim   int
-		skip  bool
-	}
-	var covered []coveredChild
-	var uncovered []*EmbNode
-	uncoveredSkip := map[*EmbNode]bool{}
+	// Constant capacities keep the split lists on the stack for the usual
+	// handful of children.
+	covered := make([]coveredChild, 0, 4)
+	uncovered := make([]coveredChild, 0, 4)
 	for _, c := range n.Children {
 		cc := coveredChild{child: c, dim: scopeIndex(scope, ScopeEdge{From: n.Syn, To: c.Syn})}
 		if c.Value != nil {
@@ -298,10 +354,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		if cc.dim >= 0 {
 			covered = append(covered, cc)
 		} else {
-			uncovered = append(uncovered, c)
-			if cc.skip {
-				uncoveredSkip[c] = true
-			}
+			uncovered = append(uncovered, cc)
 		}
 	}
 
@@ -327,7 +380,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 
 	unc := 1.0
 	for _, c := range uncovered {
-		v, _ := pc.est.avgCount(n.Syn, c.Syn)
+		v, _ := pc.est.avgCount(n.Syn, c.child.Syn)
 		unc *= v
 	}
 	pn.UncBase = unc
@@ -349,12 +402,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 			}
 		}
 		pn.Mode = plan.ModeFactorized
-		for _, cc := range covered {
-			pn.Covered = append(pn.Covered, pc.node(cc.child, cc.skip))
-		}
-		for _, c := range uncovered {
-			pn.Uncovered = append(pn.Uncovered, pc.node(c, uncoveredSkip[c]))
-		}
+		pc.children(pn, covered, uncovered)
 		return pn
 	}
 
@@ -372,7 +420,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		slot int
 		had  bool
 	}
-	shadows := make([]shadow, 0, len(covered))
+	shadows := make([]shadow, 0, 4)
 	for _, cc := range covered {
 		pn.CovDims = append(pn.CovDims, cc.dim)
 		slot := pc.prog.NumSlots
@@ -383,12 +431,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		shadows = append(shadows, shadow{edge: edge, slot: old, had: had})
 		pc.env[edge] = slot
 	}
-	for _, cc := range covered {
-		pn.Covered = append(pn.Covered, pc.node(cc.child, cc.skip))
-	}
-	for _, c := range uncovered {
-		pn.Uncovered = append(pn.Uncovered, pc.node(c, uncoveredSkip[c]))
-	}
+	pc.children(pn, covered, uncovered)
 	for i := len(shadows) - 1; i >= 0; i-- {
 		sh := shadows[i]
 		if sh.had {
@@ -398,4 +441,17 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		}
 	}
 	return pn
+}
+
+// children compiles pn's covered then uncovered children, in child order,
+// into child lists reserved from the slab before recursing.
+func (pc *planCompiler) children(pn *plan.Node, covered, uncovered []coveredChild) {
+	pn.Covered = pc.takeKids(len(covered))
+	pn.Uncovered = pc.takeKids(len(uncovered))
+	for _, cc := range covered {
+		pn.Covered = append(pn.Covered, pc.node(cc.child, cc.skip))
+	}
+	for _, cc := range uncovered {
+		pn.Uncovered = append(pn.Uncovered, pc.node(cc.child, cc.skip))
+	}
 }

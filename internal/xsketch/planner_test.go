@@ -396,3 +396,63 @@ func TestProgramTagsInterned(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramsShareScratchPool runs compiled programs of different sizes
+// interleaved on several goroutines. All programs draw their Scratch from
+// one pool, so a Scratch last grown for one program is handed to programs
+// with other NumNodes and NumSlots; every result must stay Float64bits-
+// equal to EstimateQuery. Meaningful under -race.
+func TestProgramsShareScratchPool(t *testing.T) {
+	type job struct {
+		sk   *Sketch
+		p    *plan.Program
+		want EstimateResult
+	}
+	var jobs []job
+	add := func(sk *Sketch, q *twig.Query) {
+		jobs = append(jobs, job{sk: sk, p: sk.PlanQuery(q), want: sk.EstimateQueryResult(q)})
+	}
+	for name, sk := range plannerFixtures(t) {
+		for _, qs := range plannerFixtureQueries[name] {
+			add(sk, twig.MustParse(qs))
+		}
+	}
+	d, qs := xmarkQueries(30)
+	xm := New(d, DefaultConfig())
+	for _, q := range qs {
+		add(xm, q)
+	}
+	nodes, slots := map[int]bool{}, map[int]bool{}
+	for _, j := range jobs {
+		nodes[j.p.NumNodes] = true
+		slots[j.p.NumSlots] = true
+	}
+	if len(nodes) < 3 || len(slots) < 2 {
+		t.Fatalf("programs span %d node counts and %d slot counts; the test needs varied sizes", len(nodes), len(slots))
+	}
+	const workers, rounds = 8, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range jobs {
+					// Each goroutine walks the programs from its own
+					// offset and stride, so sizes interleave differently.
+					j := jobs[(w+k*(2*w+1))%len(jobs)]
+					got, err := j.sk.EstimatePlanContext(context.Background(), j.p)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if math.Float64bits(got.Estimate) != math.Float64bits(j.want.Estimate) || got.Truncated != j.want.Truncated {
+						t.Errorf("%s: shared-scratch estimate %+v != EstimateQuery %+v", j.p.Canonical, got, j.want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
