@@ -57,7 +57,7 @@ type (
 // Synopsis types.
 type (
 	// Sketch is a Twig XSKETCH synopsis with estimation methods
-	// (EstimateQuery, EstimatePath, EstimateEmbedding, WriteDOT, ...).
+	// (EstimateQuery, EstimateQueryResult, PlanQuery, WriteDOT, ...).
 	Sketch = core.Sketch
 	// SketchConfig controls synopsis construction and estimation.
 	SketchConfig = core.Config
@@ -70,11 +70,8 @@ type (
 	// Sketch.EstimatePlanContext, Sketch.EstimateBatchPlannedContext).
 	EstimateResult = core.EstimateResult
 	// EstimatorStats reports the estimation cache's lifetime counters
-	// (Sketch.EstimatorStats).
+	// (Sketch.EstimatorStats, safe to poll while estimation runs).
 	EstimatorStats = core.EstimatorStats
-	// EstimatorCacheView is a race-safe handle for polling a sketch's
-	// estimator-cache counters (Sketch.EstimatorCache().Snapshot()).
-	EstimatorCacheView = core.EstimatorCacheView
 	// BuildOptions configures the XBUILD construction algorithm.
 	BuildOptions = build.Options
 	// Builder runs XBUILD incrementally (budget sweeps, tracing).
@@ -240,8 +237,8 @@ func Explain(sk *Sketch, q *Query) *Explanation { return sk.ExplainQuery(q) }
 // DESIGN.md §11). Plans come from Sketch.PlanQuery / PlanQueryText, are
 // cached per sketch in a generation-checked LRU, and execute bit-identical
 // to EstimateQuery with zero steady-state allocations on cache hits
-// (Sketch.EstimatePlanContext, Sketch.EstimateQueryPlanned,
-// Sketch.EstimateBatchPlannedContext).
+// (Sketch.EstimatePlanContext, Sketch.EstimateBatchPlannedContext,
+// Sketch.EstimateBatchTextContext).
 type (
 	// Plan is a compiled, executable form of one twig query against one
 	// sketch state, safe for concurrent execution.

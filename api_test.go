@@ -111,7 +111,7 @@ func TestPublicAPIBuilderAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := sk.EstimatePath(p), loaded.EstimatePath(p); math.Float64bits(a) != math.Float64bits(b) {
+	if a, b := sk.EstimateQuery(xsketch.NewQuery(p)), loaded.EstimateQuery(xsketch.NewQuery(p)); math.Float64bits(a) != math.Float64bits(b) {
 		t.Fatalf("persisted path estimate differs: %v vs %v", a, b)
 	}
 	cfg := xsketch.DefaultWorkloadConfig(xsketch.WorkloadPV)

@@ -10,6 +10,7 @@
 package xsketch_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -51,16 +52,22 @@ func BenchmarkPlanCachedInterpreter(b *testing.B) {
 // and float arithmetic into pooled scratch, zero allocations per op.
 func BenchmarkPlanPlanned(b *testing.B) {
 	sk, q := newPlanBench(b)
-	if _, err := sk.EstimateQueryPlanned(q.String()); err != nil { // compile + warm
-		b.Fatal(err)
-	}
 	text := q.String()
+	ctx := context.Background()
+	estimate := func() {
+		p, err := sk.PlanQueryText(text)
+		if err == nil {
+			_, err = sk.EstimatePlanContext(ctx, p)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	estimate() // compile + warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sk.EstimateQueryPlanned(text); err != nil {
-			b.Fatal(err)
-		}
+		estimate()
 	}
 }
 

@@ -4,7 +4,7 @@
 // queries. It shares the q-error definition and the exact evaluator with
 // the online auditor, so its numbers match the live xserve_accuracy_*
 // metrics bit-for-bit on the same records. See SERVING.md for the audit
-// pipeline and DESIGN.md §15 for the design.
+// pipeline and DESIGN.md §14 for the design.
 //
 // Usage:
 //

@@ -60,6 +60,7 @@ import (
 	"xsketch/internal/build"
 	"xsketch/internal/catalog"
 	"xsketch/internal/cli"
+	"xsketch/internal/httpfront"
 	"xsketch/internal/obs"
 	"xsketch/internal/router"
 	"xsketch/internal/serve"
@@ -350,8 +351,8 @@ func main() {
 		catalogDir    = flag.String("catalog", "", "sketch catalog directory: serve every *.xsb entry and enable /admin/reload + SIGHUP hot swaps")
 		timeout       = flag.Duration("timeout", 10*time.Second, "per-request estimation timeout")
 		maxConcurrent = flag.Int("max-concurrent", 0, "estimate requests admitted at once before shedding with 429 (0 = 2*GOMAXPROCS)")
-		maxBody       = flag.Int64("max-body", 1<<20, "request body size limit in bytes")
-		maxBatch      = flag.Int("max-batch", 4096, "max queries per batch request")
+		maxBody       = flag.Int64("max-body", httpfront.DefaultMaxBodyBytes, "request body size limit in bytes")
+		maxBatch      = flag.Int("max-batch", httpfront.DefaultMaxBatchQueries, "max queries per batch request")
 		workers       = flag.Int("workers", 0, "batch estimation workers (0 = GOMAXPROCS)")
 		pprofOn       = flag.Bool("pprof", true, "mount /debug/pprof")
 		logMode       = flag.String("log", "json", "request logging: json (stderr) or off")
@@ -460,104 +461,78 @@ func main() {
 		os.Exit(1)
 	}
 
+	logger.Info("listening", "addr", *listen, "sketches", s.Names())
+	fmt.Fprintf(os.Stderr, "xserve listening on %s, serving %v\n", *listen, s.Names())
+	// Hot-reload every served name present in the catalog on SIGHUP; names
+	// without a catalog entry (or with a corrupt one) keep serving their
+	// current synopsis.
+	reload := func() {
+		if *catalogDir == "" {
+			logger.Info("SIGHUP ignored", "reason", "no -catalog directory")
+			return
+		}
+		for _, name := range s.Names() {
+			if _, err := s.ReloadFromCatalog(name, ""); err != nil {
+				logger.Error("reload failed", "sketch", name, "error", err.Error())
+			}
+		}
+	}
+	// The auditor closes after the HTTP drain so every admitted request's
+	// sample reaches the journal before the file does.
+	closeAudit := func() error {
+		if aud := s.Auditor(); aud != nil {
+			aud.Close()
+			if err := auditFile.Close(); err != nil {
+				return fmt.Errorf("closing -audit-log: %w", err)
+			}
+		}
+		return nil
+	}
+	os.Exit(serveAndDrain(s, *listen, *drainTimeout, logger, reload, closeAudit))
+}
+
+// tier is what serveAndDrain needs from a replica or a router.
+type tier interface {
+	Handler() http.Handler
+	SetDraining(bool)
+}
+
+// serveAndDrain is the one listen/serve/drain routine of both modes. It
+// serves t on listen until SIGINT/SIGTERM, running onHUP (when non-nil)
+// on every SIGHUP. Then it drains gracefully: /healthz flips to 503 with
+// draining:true first, so load balancers stop sending new work, and
+// in-flight requests finish within drainTimeout. afterDrain (when
+// non-nil) runs once the HTTP server is down. The result is the process
+// exit code.
+func serveAndDrain(t tier, listen string, drainTimeout time.Duration, logger *obs.Logger, onHUP func(), afterDrain func() error) int {
 	httpSrv := &http.Server{
-		Addr:              *listen,
-		Handler:           s.Handler(),
+		Addr:              listen,
+		Handler:           t.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-
+	if onHUP != nil {
+		signal.Notify(hup, syscall.SIGHUP)
+		defer signal.Stop(hup)
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("listening", "addr", *listen, "sketches", s.Names())
-	fmt.Fprintf(os.Stderr, "xserve listening on %s, serving %v\n", *listen, s.Names())
 
 serveLoop:
 	for {
 		select {
 		case err := <-errc:
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		case <-hup:
-			// Hot-reload every served name present in the catalog; names
-			// without a catalog entry (or with a corrupt one) keep serving
-			// their current synopsis.
-			if *catalogDir == "" {
-				logger.Info("SIGHUP ignored", "reason", "no -catalog directory")
-				continue
-			}
-			for _, name := range s.Names() {
-				if _, err := s.ReloadFromCatalog(name, ""); err != nil {
-					logger.Error("reload failed", "sketch", name, "error", err.Error())
-				}
-			}
+			onHUP()
 		case <-ctx.Done():
 			break serveLoop
 		}
 	}
-	// Graceful drain: stop advertising healthy, then let in-flight
-	// estimates finish under the drain budget.
-	s.SetDraining(true)
-	logger.Info("draining", "timeout", drainTimeout.String())
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "shutdown:", err)
-		os.Exit(1)
-	}
-	// The auditor closes after the HTTP drain so every admitted request's
-	// sample reaches the journal before the file does.
-	if aud := s.Auditor(); aud != nil {
-		aud.Close()
-		if err := auditFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "closing -audit-log:", err)
-			os.Exit(1)
-		}
-	}
-	logger.Info("stopped")
-}
-
-// runRouter is router mode's main loop: build the ring, settle initial
-// backend states with one synchronous probe round, serve, and drain
-// gracefully on SIGINT/SIGTERM. Returns the process exit code.
-func runRouter(cfg router.Config, backends []string, listen string, drainTimeout time.Duration, logger *obs.Logger) int {
-	rt, err := router.New(cfg, backends)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	// One synchronous probe round before taking traffic, so a dead
-	// backend is already routed around at the first request.
-	rt.ProbeOnce(ctx)
-	stopProbing := rt.StartProbing()
-	defer stopProbing()
-
-	httpSrv := &http.Server{
-		Addr:              listen,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("router listening", "addr", listen, "backends", strings.Join(rt.Backends(), ","))
-	fmt.Fprintf(os.Stderr, "xserve router listening on %s, backends %v\n", listen, rt.Backends())
-
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	case <-ctx.Done():
-	}
-	// Graceful drain, same contract as replica mode: flip /healthz to 503
-	// (with draining:true) first so upstream load balancers stop sending
-	// new work, then let in-flight proxies finish.
-	rt.SetDraining(true)
+	t.SetDraining(true)
 	logger.Info("draining", "timeout", drainTimeout.String())
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
@@ -565,6 +540,32 @@ func runRouter(cfg router.Config, backends []string, listen string, drainTimeout
 		fmt.Fprintln(os.Stderr, "shutdown:", err)
 		return 1
 	}
+	if afterDrain != nil {
+		if err := afterDrain(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+	}
 	logger.Info("stopped")
 	return 0
+}
+
+// runRouter is router mode: build the ring, settle initial backend states
+// with one synchronous probe round, then serve and drain like a replica.
+// Returns the process exit code.
+func runRouter(cfg router.Config, backends []string, listen string, drainTimeout time.Duration, logger *obs.Logger) int {
+	rt, err := router.New(cfg, backends)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	// One synchronous probe round before taking traffic, so a dead
+	// backend is already routed around at the first request.
+	rt.ProbeOnce(context.Background())
+	stopProbing := rt.StartProbing()
+	defer stopProbing()
+
+	logger.Info("router listening", "addr", listen, "backends", strings.Join(rt.Backends(), ","))
+	fmt.Fprintf(os.Stderr, "xserve router listening on %s, backends %v\n", listen, rt.Backends())
+	return serveAndDrain(rt, listen, drainTimeout, logger, nil, nil)
 }

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -91,7 +92,11 @@ func TestRoundTripBitIdentity(t *testing.T) {
 					t.Fatalf("query %d: original %v (%x), decoded %v (%x)",
 						i, want, math.Float64bits(want), have, math.Float64bits(have))
 				}
-				planned, err := got.EstimateQueryPlanned(q.String())
+				p, err := got.PlanQueryText(q.String())
+				if err != nil {
+					t.Fatalf("query %d: plan: %v", i, err)
+				}
+				planned, err := got.EstimatePlanContext(context.Background(), p)
 				if err != nil {
 					t.Fatalf("query %d: planned estimate: %v", i, err)
 				}

@@ -25,8 +25,14 @@
 // transport failure during a proxied request marks the backend down
 // immediately rather than waiting for the next probe tick.
 //
-// Because every replica serves the same catalog (PR 7's stateless binary
-// sketches), any backend can answer any request — consistent hashing is a
+// The trace-ID middleware, request counting, JSON and error writers, the
+// body-size limit and the batch-shape checks come from internal/httpfront,
+// which the replica shares, so the router rejects a bad request with the
+// same status and error text a replica would, and forwards its trace ID
+// and any X-Audit-Sample override to the replica.
+//
+// Because every replica serves the same catalog of stateless binary
+// sketches, any backend can answer any request — consistent hashing is a
 // cache-affinity optimization, not a correctness requirement, which is
 // what makes the retry-anywhere strategy sound. Estimates through the
 // router are bit-identical to direct replica calls: single-estimate

@@ -9,11 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xsketch/internal/httpfront"
 	"xsketch/internal/obs"
 )
 
@@ -61,10 +61,10 @@ func (c Config) withDefaults() Config {
 		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
+		c.MaxBodyBytes = httpfront.DefaultMaxBodyBytes
 	}
 	if c.MaxBatchQueries <= 0 {
-		c.MaxBatchQueries = 4096
+		c.MaxBatchQueries = httpfront.DefaultMaxBatchQueries
 	}
 	return c
 }
@@ -154,11 +154,14 @@ func New(cfg Config, backendAddrs []string) (*Router, error) {
 	}
 	rt.m = newRouterMetrics(rt.reg, rt, ring.Backends())
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("POST /estimate", rt.instrument("/estimate", rt.handleEstimate))
-	rt.mux.HandleFunc("POST /estimate/batch", rt.instrument("/estimate/batch", rt.handleEstimateBatch))
-	rt.mux.HandleFunc("GET /sketches", rt.instrument("/sketches", rt.handleSketches))
-	rt.mux.HandleFunc("GET /healthz", rt.instrument("/healthz", rt.handleHealthz))
-	rt.mux.HandleFunc("GET /metrics", rt.instrument("/metrics", rt.handleMetrics))
+	in := func(path string, h http.HandlerFunc) http.HandlerFunc {
+		return httpfront.Instrument(rt.m.requests, rt.log, path, h)
+	}
+	rt.mux.HandleFunc("POST /estimate", in("/estimate", rt.handleEstimate))
+	rt.mux.HandleFunc("POST /estimate/batch", in("/estimate/batch", rt.handleEstimateBatch))
+	rt.mux.HandleFunc("GET /sketches", in("/sketches", rt.handleSketches))
+	rt.mux.HandleFunc("GET /healthz", in("/healthz", rt.handleHealthz))
+	rt.mux.HandleFunc("GET /metrics", in("/metrics", httpfront.Metrics(rt.reg)))
 	return rt, nil
 }
 
@@ -316,14 +319,14 @@ func (rt *Router) attempt(ctx context.Context, b *backend, method, path string, 
 	}
 	// Forward the router's trace ID so one request carries one ID across
 	// the fleet: the replica echoes it into its own logs and response.
-	req.Header.Set(traceIDHeader, tid)
+	req.Header.Set(httpfront.TraceIDHeader, tid)
 	// An audit-sampling override rides through unchanged, so clients (and
 	// shadow-test harnesses) control replica-side accuracy sampling
 	// identically whether they talk to a replica or the router. Without
 	// the header, replicas hash the forwarded trace ID — the same
 	// deterministic decision fleet-wide.
 	if audit != "" {
-		req.Header.Set(auditSampleHeader, audit)
+		req.Header.Set(httpfront.AuditSampleHeader, audit)
 	}
 	start := time.Now()
 	resp, err := rt.client.Do(req)
@@ -362,22 +365,22 @@ type estimateRequest struct {
 }
 
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	tid := traceID(r)
-	body, ok := rt.readBody(w, r, tid)
+	tid := httpfront.TraceID(r)
+	body, ok := httpfront.ReadBody(w, r, rt.cfg.MaxBodyBytes, tid)
 	if !ok {
 		return
 	}
 	var req estimateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed request body: %w", err))
+		httpfront.WriteError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed request body: %w", err))
 		return
 	}
 	// Single estimates shard by sketch name alone: all of one sketch's
 	// point queries land on its owner replica, whose estimator and plan
 	// caches stay hot for exactly that sketch.
-	res, err := rt.forward(r.Context(), req.Sketch, http.MethodPost, "/estimate?"+r.URL.RawQuery, body, tid, r.Header.Get(auditSampleHeader))
+	res, err := rt.forward(r.Context(), req.Sketch, http.MethodPost, "/estimate?"+r.URL.RawQuery, body, tid, r.Header.Get(httpfront.AuditSampleHeader))
 	if err != nil {
-		rt.writeError(w, http.StatusBadGateway, tid, fmt.Errorf("estimate failed on every candidate: %w", err))
+		httpfront.WriteError(w, http.StatusBadGateway, tid, fmt.Errorf("estimate failed on every candidate: %w", err))
 		return
 	}
 	rt.relay(w, res)
@@ -414,28 +417,17 @@ type shardGroup struct {
 }
 
 func (rt *Router) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	tid := traceID(r)
-	body, ok := rt.readBody(w, r, tid)
+	tid := httpfront.TraceID(r)
+	body, ok := httpfront.ReadBody(w, r, rt.cfg.MaxBodyBytes, tid)
 	if !ok {
 		return
 	}
 	var req batchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed request body: %w", err))
+		httpfront.WriteError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed request body: %w", err))
 		return
 	}
-	if len(req.Queries) == 0 {
-		rt.writeError(w, http.StatusBadRequest, tid, errors.New("empty batch"))
-		return
-	}
-	if len(req.Queries) > rt.cfg.MaxBatchQueries {
-		rt.writeError(w, http.StatusRequestEntityTooLarge, tid,
-			fmt.Errorf("batch of %d queries exceeds limit %d", len(req.Queries), rt.cfg.MaxBatchQueries))
-		return
-	}
-	if len(req.Explain) > 0 && len(req.Explain) != len(req.Queries) {
-		rt.writeError(w, http.StatusBadRequest, tid,
-			fmt.Errorf("explain flags length %d != queries length %d", len(req.Explain), len(req.Queries)))
+	if !httpfront.CheckBatch(w, tid, len(req.Queries), len(req.Explain), rt.cfg.MaxBatchQueries) {
 		return
 	}
 
@@ -451,7 +443,7 @@ func (rt *Router) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		key := req.Sketch + "\x00" + q
 		cands := rt.candidatesFor(key)
 		if len(cands) == 0 {
-			rt.writeError(w, http.StatusBadGateway, tid, errors.New("no backends on the ring"))
+			httpfront.WriteError(w, http.StatusBadGateway, tid, errors.New("no backends on the ring"))
 			return
 		}
 		addr := cands[0].addr
@@ -467,7 +459,7 @@ func (rt *Router) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Fan the sub-batches out concurrently; each group retries through its
 	// own anchor key's candidate order independently.
-	audit := r.Header.Get(auditSampleHeader)
+	audit := r.Header.Get(httpfront.AuditSampleHeader)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, g := range groups {
@@ -544,7 +536,7 @@ func (rt *Router) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		rt.log.Info("batch merged with shard failures",
 			"trace_id", tid, "items", len(out), "failed_items", itemErrs, "shards", len(groups))
 	}
-	rt.writeJSON(w, http.StatusOK, batchResponse{
+	httpfront.WriteJSON(w, http.StatusOK, batchResponse{
 		Sketch:         sketchName,
 		Count:          len(out),
 		Results:        out,
@@ -554,12 +546,12 @@ func (rt *Router) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleSketches(w http.ResponseWriter, r *http.Request) {
-	tid := traceID(r)
+	tid := httpfront.TraceID(r)
 	// Every replica serves the same catalog, so any healthy backend's
 	// listing is authoritative; the empty key picks a stable owner.
 	res, err := rt.forward(r.Context(), "", http.MethodGet, "/sketches", nil, tid, "")
 	if err != nil {
-		rt.writeError(w, http.StatusBadGateway, tid, fmt.Errorf("sketches failed on every candidate: %w", err))
+		httpfront.WriteError(w, http.StatusBadGateway, tid, fmt.Errorf("sketches failed on every candidate: %w", err))
 		return
 	}
 	rt.relay(w, res)
@@ -602,101 +594,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "unavailable"
 		code = http.StatusServiceUnavailable
 	}
-	rt.writeJSON(w, code, h)
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.reg.WriteTo(w)
-}
-
-// readBody reads a size-limited request body, answering 413 for oversized
-// input. It reports whether the caller may proceed.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request, tid string) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rt.writeError(w, http.StatusRequestEntityTooLarge, tid,
-				fmt.Errorf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
-			return nil, false
-		}
-		rt.writeError(w, http.StatusBadRequest, tid, fmt.Errorf("reading request body: %w", err))
-		return nil, false
-	}
-	return body, true
-}
-
-// errorResponse is the body of every router-originated non-2xx answer,
-// the same shape the replicas use.
-type errorResponse struct {
-	Error   string `json:"error"`
-	TraceID string `json:"trace_id"`
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, code int, tid string, err error) {
-	rt.writeJSON(w, code, errorResponse{Error: err.Error(), TraceID: tid})
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// traceIDHeader carries the request's trace ID in both directions, and
-// onward to the backend replicas.
-const traceIDHeader = "X-Trace-Id"
-
-// auditSampleHeader is the replicas' accuracy-sampling override header
-// (see internal/serve); the router forwards it verbatim so fleet-wide
-// sample control works through either tier.
-const auditSampleHeader = "X-Audit-Sample"
-
-type traceKey struct{}
-
-// traceID reads the request's assigned trace ID (set by instrument).
-func traceID(r *http.Request) string {
-	if id, ok := r.Context().Value(traceKey{}).(string); ok {
-		return id
-	}
-	return ""
-}
-
-// statusRecorder captures the response status for metrics and logs.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.code = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with the router's per-request observability
-// chain: trace-ID assignment (honoring a client-supplied header), request
-// counting by path and status, and one structured JSON log line.
-func (rt *Router) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tid := r.Header.Get(traceIDHeader)
-		if tid == "" {
-			tid = obs.NewTraceID()
-		}
-		w.Header().Set(traceIDHeader, tid)
-		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, tid))
-		sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		h(sr, r)
-		elapsed := time.Since(start)
-		rt.m.requests.With(path, strconv.Itoa(sr.code)).Inc()
-		rt.log.Info("request",
-			"trace_id", tid,
-			"method", r.Method,
-			"path", path,
-			"status", sr.code,
-			"elapsed_seconds", elapsed.Seconds(),
-			"remote", r.RemoteAddr,
-		)
-	}
+	httpfront.WriteJSON(w, code, h)
 }

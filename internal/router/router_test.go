@@ -195,11 +195,18 @@ func TestRetryFailsOverToNextCandidate(t *testing.T) {
 	good := newStub(t, http.StatusOK, `{"estimate":42.5,"truncated":false,"trace_id":"y"}`)
 	rt, ts := newTestRouter(t, testConfig(), bad.URL, good.URL)
 
-	// Every request must succeed no matter which stub owns the key: the
-	// bad one answers 503 -> retry lands on the good one.
-	for i := 0; i < 8; i++ {
+	// Route only keys the bad backend owns, so every first attempt hits
+	// it: the bad one answers 503 -> retry lands on the good one.
+	// Arbitrary keys could all land on the good stub and never retry.
+	var keys []string
+	for i := 0; len(keys) < 8; i++ {
+		if key := fmt.Sprintf("s%d", i); rt.ring.Owner(key) == bad.URL {
+			keys = append(keys, key)
+		}
+	}
+	for i, key := range keys {
 		resp, body := postJSON(t, ts.URL+"/estimate",
-			fmt.Sprintf(`{"sketch":"s%d","query":%q}`, i, testQuery))
+			fmt.Sprintf(`{"sketch":%q,"query":%q}`, key, testQuery))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d, body %s", i, resp.StatusCode, body)
 		}

@@ -5,22 +5,16 @@ import (
 	"strconv"
 
 	"xsketch/internal/accuracy"
-	"xsketch/internal/twig"
+	"xsketch/internal/httpfront"
+	"xsketch/internal/plan"
 	core "xsketch/internal/xsketch"
 )
 
-// auditSampleHeader overrides the hash sampling decision for one request:
-// a true value (strconv.ParseBool spellings) forces the estimate into the
-// audit sample, a false value suppresses it, absence defers to the
-// trace-ID hash. The router forwards the header untouched, so a client
-// or a shadow-test harness controls sampling identically through either
-// tier.
-const auditSampleHeader = "X-Audit-Sample"
-
 // auditSampled decides whether this request's estimate joins the audit
-// sample. Only called with auditing enabled.
+// sample: the httpfront.AuditSampleHeader override wins, otherwise the
+// trace-ID hash decides. Only called with auditing enabled.
 func (s *Server) auditSampled(r *http.Request, tid string) bool {
-	if v := r.Header.Get(auditSampleHeader); v != "" {
+	if v := r.Header.Get(httpfront.AuditSampleHeader); v != "" {
 		b, err := strconv.ParseBool(v)
 		return err == nil && b
 	}
@@ -30,7 +24,7 @@ func (s *Server) auditSampled(r *http.Request, tid string) bool {
 // auditSampledItem is auditSampled for one batch item: the override
 // header still wins, otherwise items sample independently by index.
 func (s *Server) auditSampledItem(r *http.Request, tid string, item int) bool {
-	if v := r.Header.Get(auditSampleHeader); v != "" {
+	if v := r.Header.Get(httpfront.AuditSampleHeader); v != "" {
 		b, err := strconv.ParseBool(v)
 		return err == nil && b
 	}
@@ -42,13 +36,13 @@ func (s *Server) auditSampledItem(r *http.Request, tid string, item int) bool {
 // generation produced the estimate; the state's document (nil for
 // detached catalog sketches) decides whether the online ground-truth loop
 // can audit it.
-func (s *Server) auditEstimate(e *entry, st *sketchState, q *twig.Query, tid string, res core.EstimateResult) {
+func (s *Server) auditEstimate(e *entry, st *sketchState, p *plan.Program, tid string, res core.EstimateResult) {
 	s.aud.Submit(accuracy.Record{
 		Sketch:     e.name,
-		Query:      q.String(),
+		Query:      p.Canonical,
 		Estimate:   res.Estimate,
 		Truncated:  res.Truncated,
 		Generation: e.swaps.Load(),
 		TraceID:    tid,
-	}, st.sk.Document(), q)
+	}, st.sk.Document(), p.Query)
 }

@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"xsketch/internal/httpfront"
 	"xsketch/internal/twig"
 )
 
@@ -119,9 +122,11 @@ func TestBatchExplainLengthMismatch(t *testing.T) {
 func TestEstimateExplainConcurrent(t *testing.T) {
 	sk := newTestSketch(t)
 	want := sk.EstimateQuery(twig.MustParse(testQuery))
-	_, ts := newTestServer(t, sk, nil)
-
 	const workers = 16
+	// Admit every worker at once: shedding is not under test here, and the
+	// default cap (2 × GOMAXPROCS) would answer some of them 429.
+	_, ts := newTestServer(t, sk, func(c *Config) { c.MaxConcurrent = 4 * workers })
+
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -222,5 +227,79 @@ func TestServePlannedBitIdenticalToInterpreted(t *testing.T) {
 	}
 	if st := sk.PlanCacheStats(); st.Misses == 0 {
 		t.Error("served request did not touch the plan cache")
+	}
+}
+
+// TestEstimatePointPathUsesPlanText checks that /estimate resolves its
+// query through the plan cache's text path: a whitespace variant of a
+// served query is answered from the cached plan (no new compilation) with
+// the canonical query text and the plan's exact float, a malformed query
+// still answers 400 after admission, and an explained request carries the
+// plan's estimate bit for bit.
+func TestEstimatePointPathUsesPlanText(t *testing.T) {
+	sk := newTestSketch(t)
+	q := twig.MustParse(testQuery)
+	want, err := sk.EstimatePlanContext(context.Background(), sk.PlanQuery(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, sk, nil)
+	var admitted atomic.Int32
+	s.testHookEstimate = func() { admitted.Add(1) }
+	misses := sk.PlanCacheStats().Misses
+
+	estimate := func(url, query string) (int, estimateResponse, []byte) {
+		t.Helper()
+		resp, body := postJSON(t, url, fmt.Sprintf(`{"query":%q}`, query))
+		var er estimateResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal(body, &er); err != nil {
+				t.Fatalf("unmarshal: %v (%s)", err, body)
+			}
+		}
+		return resp.StatusCode, er, body
+	}
+
+	variant := "  t0   in movie,\n\tt1 in\tt0/actor "
+	code, er, body := estimate(ts.URL+"/estimate", variant)
+	if code != http.StatusOK {
+		t.Fatalf("status %d, body %s", code, body)
+	}
+	if er.Query != q.String() {
+		t.Errorf("response query %q, want the canonical %q", er.Query, q.String())
+	}
+	if math.Float64bits(er.Estimate) != math.Float64bits(want.Estimate) || er.Truncated != want.Truncated {
+		t.Errorf("served %v (truncated %v) != plan %v (truncated %v)", er.Estimate, er.Truncated, want.Estimate, want.Truncated)
+	}
+	if got := sk.PlanCacheStats().Misses; got != misses {
+		t.Errorf("plan cache misses %d -> %d: the whitespace variant compiled a new plan", misses, got)
+	}
+
+	code, er, body = estimate(ts.URL+"/estimate?explain=true", variant)
+	if code != http.StatusOK {
+		t.Fatalf("explain: status %d, body %s", code, body)
+	}
+	if er.Explanation == nil {
+		t.Fatal("explanation missing from ?explain=true response")
+	}
+	if math.Float64bits(er.Explanation.Estimate) != math.Float64bits(want.Estimate) ||
+		math.Float64bits(er.Estimate) != math.Float64bits(want.Estimate) {
+		t.Errorf("explained %v (response %v) != plan %v", er.Explanation.Estimate, er.Estimate, want.Estimate)
+	}
+
+	before := admitted.Load()
+	code, _, body = estimate(ts.URL+"/estimate", "t0 in in in")
+	if code != http.StatusBadRequest {
+		t.Fatalf("malformed: status %d, want 400 (body %s)", code, body)
+	}
+	var e httpfront.ErrorResponse
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("error body is not JSON: %v (%s)", err, body)
+	}
+	if !strings.HasPrefix(e.Error, "malformed twig query: ") {
+		t.Errorf("error %q, want the malformed twig query prefix", e.Error)
+	}
+	if n := admitted.Load() - before; n != 1 {
+		t.Errorf("malformed query admitted %d times, want 1: it is parsed after admission", n)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,8 +10,8 @@ import (
 	"strconv"
 	"time"
 
+	"xsketch/internal/httpfront"
 	"xsketch/internal/trace"
-	"xsketch/internal/twig"
 	core "xsketch/internal/xsketch"
 )
 
@@ -69,12 +70,6 @@ type batchResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// errorResponse is the body of every non-2xx JSON answer.
-type errorResponse struct {
-	Error   string `json:"error"`
-	TraceID string `json:"trace_id"`
-}
-
 // explainRequested reads the ?explain= query parameter (accepting the
 // strconv.ParseBool spellings; absent or malformed means false).
 func explainRequested(r *http.Request) bool {
@@ -83,28 +78,19 @@ func explainRequested(r *http.Request) bool {
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	tid := traceID(r)
+	tid := httpfront.TraceID(r)
 	var req estimateRequest
 	if !s.decodeBody(w, r, tid, &req) {
 		return
 	}
 	e, err := s.lookup(req.Sketch)
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, tid, err)
+		httpfront.WriteError(w, http.StatusNotFound, tid, err)
 		return
 	}
 	// One atomic load pins this request to a single synopsis generation:
 	// a concurrent hot swap never changes the sketch mid-estimate.
 	st := e.state.Load()
-	q, err := twig.Parse(req.Query)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed twig query: %w", err))
-		return
-	}
-	var rec *trace.Recorder
-	if explainRequested(r) {
-		rec = trace.NewRecorder(trace.Options{})
-	}
 	if !s.admit(w, tid) {
 		return
 	}
@@ -112,14 +98,23 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
+	// The query resolves the way batch items do: a plan hit on any
+	// spelling skips the parse, and a miss parses and compiles here,
+	// under admission. ?explain=true runs the traced interpreter over the
+	// plan's parsed query; it is bit-identical to the plan.
 	start := time.Now()
+	p, err := st.sk.PlanQueryText(req.Query)
+	if err != nil {
+		httpfront.WriteError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed twig query: %w", err))
+		return
+	}
+	var rec *trace.Recorder
 	var res core.EstimateResult
-	if rec == nil {
-		// Hot path: serve from the sketch's compiled-plan cache, which is
-		// bit-identical to the traced interpreter below.
-		res, err = st.sk.EstimatePlanContext(ctx, st.sk.PlanQuery(q))
+	if explainRequested(r) {
+		rec = trace.NewRecorder(trace.Options{})
+		res, err = st.sk.EstimateQueryTraced(ctx, p.Query, rec)
 	} else {
-		res, err = st.sk.EstimateQueryTraced(ctx, q, rec)
+		res, err = st.sk.EstimatePlanContext(ctx, p)
 	}
 	if err != nil {
 		s.writeEstimateError(w, tid, err)
@@ -132,11 +127,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.m.truncated.With(e.name).Inc()
 	}
 	if s.aud != nil && s.auditSampled(r, tid) {
-		s.auditEstimate(e, st, q, tid, res)
+		s.auditEstimate(e, st, p, tid, res)
 	}
 	resp := estimateResponse{
 		Sketch:         e.name,
-		Query:          q.String(),
+		Query:          p.Canonical,
 		Estimate:       res.Estimate,
 		Truncated:      res.Truncated,
 		ElapsedSeconds: elapsed.Seconds(),
@@ -145,33 +140,22 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if rec != nil {
 		resp.Explanation = rec.Trace()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	httpfront.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	tid := traceID(r)
+	tid := httpfront.TraceID(r)
 	var req batchRequest
 	if !s.decodeBody(w, r, tid, &req) {
 		return
 	}
 	e, err := s.lookup(req.Sketch)
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, tid, err)
+		httpfront.WriteError(w, http.StatusNotFound, tid, err)
 		return
 	}
 	st := e.state.Load()
-	if len(req.Queries) == 0 {
-		s.writeError(w, http.StatusBadRequest, tid, errors.New("empty batch"))
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatchQueries {
-		s.writeError(w, http.StatusRequestEntityTooLarge, tid,
-			fmt.Errorf("batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatchQueries))
-		return
-	}
-	if len(req.Explain) > 0 && len(req.Explain) != len(req.Queries) {
-		s.writeError(w, http.StatusBadRequest, tid,
-			fmt.Errorf("explain flags length %d != queries length %d", len(req.Explain), len(req.Queries)))
+	if !httpfront.CheckBatch(w, tid, len(req.Queries), len(req.Explain), s.cfg.MaxBatchQueries) {
 		return
 	}
 	workers := s.cfg.BatchWorkers
@@ -199,7 +183,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	out := make([]batchResult, len(items))
 	for i := range items {
 		if items[i].Err != nil {
-			s.writeError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed twig query %d: %w", i, items[i].Err))
+			httpfront.WriteError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed twig query %d: %w", i, items[i].Err))
 			return
 		}
 		out[i] = batchResult{Estimate: items[i].Result.Estimate, Truncated: items[i].Result.Truncated}
@@ -238,11 +222,11 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 			if out[i].Error != "" || !s.auditSampledItem(r, tid, i) {
 				continue
 			}
-			s.auditEstimate(e, st, items[i].Plan.Query, tid,
+			s.auditEstimate(e, st, items[i].Plan, tid,
 				core.EstimateResult{Estimate: out[i].Estimate, Truncated: out[i].Truncated})
 		}
 	}
-	s.writeJSON(w, http.StatusOK, batchResponse{
+	httpfront.WriteJSON(w, http.StatusOK, batchResponse{
 		Sketch:         e.name,
 		Count:          len(out),
 		Results:        out,
@@ -275,7 +259,7 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 	for _, name := range s.names {
 		e := s.entries[name]
 		st := e.state.Load()
-		cs := st.view.Snapshot()
+		cs := st.sk.EstimatorStats()
 		out = append(out, sketchInfo{
 			Name:      e.name,
 			Source:    st.source,
@@ -291,7 +275,7 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 			},
 		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	httpfront.WriteJSON(w, http.StatusOK, out)
 }
 
 // healthResponse is the body of GET /healthz. The explicit Draining flag
@@ -327,12 +311,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Draining = true
 		code = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, code, h)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WriteTo(w)
+	httpfront.WriteJSON(w, code, h)
 }
 
 // admit takes a concurrency slot, answering 429 (with Retry-After) and
@@ -350,7 +329,7 @@ func (s *Server) admit(w http.ResponseWriter, tid string) bool {
 	default:
 		s.m.shed.Inc()
 		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, tid,
+		httpfront.WriteError(w, http.StatusTooManyRequests, tid,
 			fmt.Errorf("server at concurrency limit %d", s.cfg.MaxConcurrent))
 		return false
 	}
@@ -361,20 +340,18 @@ func (s *Server) release() {
 	<-s.sem
 }
 
-// decodeBody parses a size-limited JSON body, answering 413 for oversized
-// and 400 for malformed input. It reports whether the caller may proceed.
+// decodeBody reads a size-limited JSON body into v, answering 413 for
+// oversized and 400 for malformed input (unknown fields included). It
+// reports whether the caller may proceed.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, tid string, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
+	body, ok := httpfront.ReadBody(w, r, s.cfg.MaxBodyBytes, tid)
+	if !ok {
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, tid,
-				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return false
-		}
-		s.writeError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed request body: %w", err))
+		httpfront.WriteError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed request body: %w", err))
 		return false
 	}
 	return true
@@ -386,20 +363,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, tid string, 
 func (s *Server) writeEstimateError(w http.ResponseWriter, tid string, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.m.timeouts.Inc()
-		s.writeError(w, http.StatusGatewayTimeout, tid,
+		httpfront.WriteError(w, http.StatusGatewayTimeout, tid,
 			fmt.Errorf("estimate exceeded request timeout %s", s.cfg.RequestTimeout))
 		return
 	}
-	s.writeError(w, http.StatusServiceUnavailable, tid, fmt.Errorf("estimate cancelled: %w", err))
-}
-
-func (s *Server) writeError(w http.ResponseWriter, code int, tid string, err error) {
-	s.writeJSON(w, code, errorResponse{Error: err.Error(), TraceID: tid})
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	httpfront.WriteError(w, http.StatusServiceUnavailable, tid, fmt.Errorf("estimate cancelled: %w", err))
 }

@@ -31,9 +31,9 @@ type metrics struct {
 }
 
 // newMetrics registers every family on the server's registry. Per-sketch
-// cache counters are func-backed: each scrape snapshots the sketch's live
-// EstimatorStats through its race-safe cache view, so the server never
-// owns (or lags) the counters it reports.
+// cache counters are func-backed: each scrape samples the sketch's live,
+// race-safe EstimatorStats, so the server never owns (or lags) the
+// counters it reports.
 func newMetrics(reg *obs.Registry, s *Server) *metrics {
 	m := &metrics{
 		requests: reg.NewCounterVec("xserve_requests_total",
@@ -100,10 +100,10 @@ func newMetrics(reg *obs.Registry, s *Server) *metrics {
 	// pre-created per name, so its zero is visible before the first swap.
 	for _, name := range s.names {
 		e := s.entries[name]
-		hits.Attach(func() float64 { return float64(e.state.Load().view.Snapshot().Hits) }, "sketch", name)
-		misses.Attach(func() float64 { return float64(e.state.Load().view.Snapshot().Misses) }, "sketch", name)
-		evictions.Attach(func() float64 { return float64(e.state.Load().view.Snapshot().Evictions) }, "sketch", name)
-		ratio.Attach(func() float64 { return e.state.Load().view.Snapshot().HitRate() }, "sketch", name)
+		hits.Attach(func() float64 { return float64(e.state.Load().sk.EstimatorStats().Hits) }, "sketch", name)
+		misses.Attach(func() float64 { return float64(e.state.Load().sk.EstimatorStats().Misses) }, "sketch", name)
+		evictions.Attach(func() float64 { return float64(e.state.Load().sk.EstimatorStats().Evictions) }, "sketch", name)
+		ratio.Attach(func() float64 { return e.state.Load().sk.EstimatorStats().HitRate() }, "sketch", name)
 		size.Attach(func() float64 { return float64(e.state.Load().sizeBytes) }, "sketch", name)
 		planHits.Attach(func() float64 { return float64(e.state.Load().sk.PlanCacheStats().Hits) }, "sketch", name)
 		planMisses.Attach(func() float64 { return float64(e.state.Load().sk.PlanCacheStats().Misses) }, "sketch", name)

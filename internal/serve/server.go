@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xsketch/internal/accuracy"
+	"xsketch/internal/httpfront"
 	"xsketch/internal/obs"
 	core "xsketch/internal/xsketch"
 )
@@ -60,10 +61,10 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 10 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
+		c.MaxBodyBytes = httpfront.DefaultMaxBodyBytes
 	}
 	if c.MaxBatchQueries <= 0 {
-		c.MaxBatchQueries = 4096
+		c.MaxBatchQueries = httpfront.DefaultMaxBatchQueries
 	}
 	return c
 }
@@ -81,14 +82,13 @@ type Sketch struct {
 }
 
 // sketchState is one immutable generation of a served synopsis: the
-// sketch, its cache view, and the size figures reported by /sketches and
+// sketch and the size figures reported by /sketches and
 // the per-sketch gauges. A hot swap publishes a brand-new state; nothing
 // in an old state is ever mutated, so a request that loaded the pointer
 // keeps a fully consistent synopsis until it finishes.
 type sketchState struct {
 	source    string
 	sk        *core.Sketch
-	view      core.EstimatorCacheView
 	sizeBytes int
 	nodes     int
 	edges     int
@@ -98,7 +98,6 @@ func newSketchState(source string, sk *core.Sketch) *sketchState {
 	return &sketchState{
 		source:    source,
 		sk:        sk,
-		view:      sk.EstimatorCache(),
 		sizeBytes: sk.SizeBytes(),
 		nodes:     sk.Syn.NumNodes(),
 		edges:     sk.Syn.NumEdges(),
@@ -187,12 +186,15 @@ func New(cfg Config, sketches []Sketch) (*Server, error) {
 		s.aud = aud
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /estimate", s.instrument("/estimate", s.handleEstimate))
-	s.mux.HandleFunc("POST /estimate/batch", s.instrument("/estimate/batch", s.handleEstimateBatch))
-	s.mux.HandleFunc("GET /sketches", s.instrument("/sketches", s.handleSketches))
-	s.mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.HandleFunc("POST /admin/reload", s.instrument("/admin/reload", s.handleReload))
+	in := func(path string, h http.HandlerFunc) http.HandlerFunc {
+		return httpfront.Instrument(s.m.requests, s.log, path, h)
+	}
+	s.mux.HandleFunc("POST /estimate", in("/estimate", s.handleEstimate))
+	s.mux.HandleFunc("POST /estimate/batch", in("/estimate/batch", s.handleEstimateBatch))
+	s.mux.HandleFunc("GET /sketches", in("/sketches", s.handleSketches))
+	s.mux.HandleFunc("GET /healthz", in("/healthz", s.handleHealthz))
+	s.mux.HandleFunc("GET /metrics", in("/metrics", httpfront.Metrics(s.reg)))
+	s.mux.HandleFunc("POST /admin/reload", in("/admin/reload", s.handleReload))
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

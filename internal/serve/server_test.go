@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"xsketch/internal/httpfront"
 	"xsketch/internal/twig"
 	"xsketch/internal/xmlgen"
 	core "xsketch/internal/xsketch"
@@ -111,7 +112,7 @@ func TestEstimateMalformedTwig(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, body)
 	}
-	var er errorResponse
+	var er httpfront.ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("error body is not JSON: %v (%s)", err, body)
 	}
@@ -248,7 +249,7 @@ func TestBatchMalformedQueryNamesIndex(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%q: status %d, want 400", tc.queries, resp.StatusCode)
 		}
-		var er errorResponse
+		var er httpfront.ErrorResponse
 		json.Unmarshal(body, &er)
 		if !strings.HasPrefix(er.Error, tc.want) {
 			t.Errorf("%q: error %q does not start with %q", tc.queries, er.Error, tc.want)
@@ -367,9 +368,11 @@ func TestConcurrentEstimatesBitIdentical(t *testing.T) {
 	sk := newTestSketch(t)
 	want := core.New(xmlgen.Generate("imdb", xmlgen.Config{Seed: 1, Scale: 0.02}), core.DefaultConfig()).
 		EstimateQueryResult(twig.MustParse(testQuery))
-	_, ts := newTestServer(t, sk, nil)
-
 	const goroutines, rounds = 8, 5
+	// Admit every goroutine at once: shedding is not under test here, and
+	// the default cap (2 × GOMAXPROCS) would answer some of them 429.
+	_, ts := newTestServer(t, sk, func(c *Config) { c.MaxConcurrent = 4 * goroutines })
+
 	errc := make(chan error, goroutines*rounds)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"xsketch/internal/catalog"
+	"xsketch/internal/httpfront"
 	core "xsketch/internal/xsketch"
 )
 
@@ -96,7 +97,7 @@ type reloadResponse struct {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	tid := traceID(r)
+	tid := httpfront.TraceID(r)
 	var req reloadRequest
 	if !s.decodeBody(w, r, tid, &req) {
 		return
@@ -104,7 +105,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := req.Sketch
 	if name == "" {
 		if len(s.names) != 1 {
-			s.writeError(w, http.StatusBadRequest, tid,
+			httpfront.WriteError(w, http.StatusBadRequest, tid,
 				fmt.Errorf("multiple sketches served, name one of %v", s.names))
 			return
 		}
@@ -117,10 +118,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		if _, ok := s.entries[name]; !ok {
 			code = http.StatusNotFound
 		}
-		s.writeError(w, code, tid, err)
+		httpfront.WriteError(w, code, tid, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, reloadResponse{
+	httpfront.WriteJSON(w, http.StatusOK, reloadResponse{
 		Sketch:    name,
 		Path:      info.Path,
 		Nodes:     info.Nodes,

@@ -26,7 +26,7 @@ func (sk *Sketch) EstimateQueryResult(q *twig.Query) EstimateResult {
 	ems, truncated := sk.EmbeddingsTruncated(q)
 	total := 0.0
 	for _, em := range ems {
-		total += sk.EstimateEmbedding(em)
+		total += sk.estimateEmbedding(em)
 	}
 	return EstimateResult{Estimate: total, Truncated: truncated}
 }

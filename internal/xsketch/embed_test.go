@@ -36,7 +36,7 @@ func TestExpandStepRecursiveSchemaTerminates(t *testing.T) {
 		t.Fatal("no embeddings for //bolt")
 	}
 	// Estimate stays finite.
-	got := sk.EstimatePath(pathexpr.MustParse("//bolt"))
+	got := sk.EstimateQuery(twig.New(pathexpr.MustParse("//bolt")))
 	if math.IsInf(got, 0) || math.IsNaN(got) || got <= 0 {
 		t.Fatalf("estimate = %v", got)
 	}
@@ -74,7 +74,7 @@ func TestEmbeddingsDescendantMidPath(t *testing.T) {
 	if len(ems) != 2 {
 		t.Fatalf("embeddings = %d, want 2", len(ems))
 	}
-	got := sk.EstimatePath(pathexpr.MustParse("author//title"))
+	got := sk.EstimateQuery(twig.New(pathexpr.MustParse("author//title")))
 	approx(t, got, 5, 1e-9, "author//title")
 }
 
@@ -163,7 +163,7 @@ func TestEstimatePathChainExactProperty(t *testing.T) {
 		ev := eval.New(d)
 		for _, p := range []string{"a", "a/b", "a/b/c"} {
 			truth := float64(ev.PathCount(pathexpr.MustParse(p)))
-			got := sk.EstimatePath(pathexpr.MustParse(p))
+			got := sk.EstimateQuery(twig.New(pathexpr.MustParse(p)))
 			if math.Abs(got-truth) > 1e-6*(1+truth) {
 				t.Logf("seed %d: path %s estimate %v truth %v", seed, p, got, truth)
 				return false
@@ -231,7 +231,7 @@ func TestEstimateEmbeddingDirect(t *testing.T) {
 		}},
 	}}
 	// |A| * E[p * E[k|...]] — with exact joints this is the exact count 5.
-	got := sk.EstimateEmbedding(em)
+	got := sk.estimateEmbedding(em)
 	approx(t, got, 5, 1e-9, "manual embedding")
 }
 
@@ -261,7 +261,7 @@ func TestEstimateQueryIsSumOverEmbeddings(t *testing.T) {
 		q := twig.MustParse(src)
 		total := 0.0
 		for _, em := range sk.Embeddings(q) {
-			total += sk.EstimateEmbedding(em)
+			total += sk.estimateEmbedding(em)
 		}
 		approx(t, sk.EstimateQuery(q), total, 1e-9, src)
 	}

@@ -114,51 +114,29 @@ func (sk *Sketch) InvalidateEstimatorCache() {
 	sk.est.gen.Add(1) // even: next epoch, eviction accounting visible
 }
 
-// EstimatorStats returns the cumulative estimation cache counters. It is
-// equivalent to EstimatorCache().Snapshot(); both are safe to call
-// concurrently with estimation.
-func (sk *Sketch) EstimatorStats() EstimatorStats {
-	return sk.EstimatorCache().Snapshot()
-}
-
-// An EstimatorCacheView is a read-only handle over a sketch's live
-// estimation-cache counters. Pollers that sample stats while estimation
-// runs — the xserve /metrics endpoint scrapes on every collection — hold a
-// view instead of the *Sketch, making the read-only intent explicit and
-// keeping the sketch's mutating surface out of reach.
-type EstimatorCacheView struct {
-	eng *estEngine
-}
-
-// EstimatorCache returns a view over the sketch's estimation-cache
-// counters for concurrent polling.
-func (sk *Sketch) EstimatorCache() EstimatorCacheView {
-	return EstimatorCacheView{eng: &sk.est}
-}
-
-// Snapshot samples the counters consistently with respect to cache
+// EstimatorStats samples the cumulative estimation cache counters. It is
+// safe to call concurrently with estimation — the xserve /metrics
+// endpoint polls it on every scrape — and consistent with respect to cache
 // invalidation: the generation counter is read before and after the
 // individual loads, and the sample is retried while an invalidation is in
 // flight (odd generation) or completed in between (generation changed).
-// A snapshot therefore never mixes a pre-RebuildNode counter with a
-// post-RebuildNode one — previously, a poller racing a rebuild could see
-// the eviction total without the hits/misses that produced it, yielding
-// torn interval deltas. Concurrent *estimates* may still land between two
-// loads within one generation; that only shifts work between adjacent
-// intervals and can never make a delta go backwards (counters are
-// monotonic). This is the race-safe way to read stats while estimation
-// runs; reading the engine's fields directly is not possible outside this
-// package by design.
-func (v EstimatorCacheView) Snapshot() EstimatorStats {
+// A sample therefore never mixes a pre-RebuildNode counter with a
+// post-RebuildNode one, so a poller racing a rebuild cannot see the
+// eviction total without the hits/misses that produced it. Concurrent
+// *estimates* may still land between two loads within one generation;
+// that only shifts work between adjacent intervals and can never make a
+// delta go backwards (counters are monotonic).
+func (sk *Sketch) EstimatorStats() EstimatorStats {
+	eng := &sk.est
 	for {
-		g := v.eng.gen.Load()
+		g := eng.gen.Load()
 		st := EstimatorStats{
-			Hits:       v.eng.hits.Load(),
-			Misses:     v.eng.misses.Load(),
-			Evictions:  v.eng.evictions.Load(),
+			Hits:       eng.hits.Load(),
+			Misses:     eng.misses.Load(),
+			Evictions:  eng.evictions.Load(),
 			Generation: g,
 		}
-		if g&1 == 0 && v.eng.gen.Load() == g {
+		if g&1 == 0 && eng.gen.Load() == g {
 			return st
 		}
 		// An invalidation was in flight; invalidations are short (one

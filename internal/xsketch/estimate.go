@@ -30,19 +30,10 @@ func (sk *Sketch) EstimateQuery(q *twig.Query) float64 {
 	return sk.EstimateQueryResult(q).Estimate
 }
 
-// EstimatePath estimates the selectivity of a single path expression (the
-// number of elements it reaches from the document root). On tree data a
-// chain twig's binding-tuple count equals the number of reached elements,
-// so this reuses the twig machinery — the "Twig XSKETCHes compute low-error
-// estimates of path selectivities" mode of the paper's Section 6.2.
-func (sk *Sketch) EstimatePath(p *pathexpr.Path) float64 {
-	return sk.EstimateQuery(twig.New(p))
-}
-
-// EstimateEmbedding estimates the selectivity of one embedding: the extent
+// estimateEmbedding estimates the selectivity of one embedding: the extent
 // size of the (virtual) root node times the expected binding tuples per
 // root element.
-func (sk *Sketch) EstimateEmbedding(em *Embedding) float64 {
+func (sk *Sketch) estimateEmbedding(em *Embedding) float64 {
 	return sk.estimateEmbeddingTraced(em, nil)
 }
 

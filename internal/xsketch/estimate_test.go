@@ -30,7 +30,7 @@ func TestEstimatePathExactOnStableChains(t *testing.T) {
 		{"author/paper/year", 4},
 	}
 	for _, c := range cases {
-		got := sk.EstimatePath(pathexpr.MustParse(c.path))
+		got := sk.EstimateQuery(twig.New(pathexpr.MustParse(c.path)))
 		approx(t, got, c.want, 1e-9, c.path)
 	}
 }
@@ -43,7 +43,7 @@ func TestEstimatePathDescendant(t *testing.T) {
 	if len(ems) != 2 {
 		t.Fatalf("embeddings of //title = %d, want 2", len(ems))
 	}
-	got := sk.EstimatePath(pathexpr.MustParse("//title"))
+	got := sk.EstimateQuery(twig.New(pathexpr.MustParse("//title")))
 	approx(t, got, 5, 1e-9, "//title")
 }
 

@@ -137,19 +137,6 @@ func (sk *Sketch) EstimatePlanContext(ctx context.Context, p *plan.Program) (Est
 	return EstimateResult{Estimate: v, Truncated: truncated}, nil
 }
 
-// EstimateQueryPlanned estimates a twig query through the compiled-plan
-// path: the plan is compiled once per canonical query (per sketch
-// generation) and reused from the plan cache afterwards. Results are
-// bit-identical to EstimateQuery for any mix of planned and interpreted
-// calls; the cache-hit path performs zero allocations.
-func (sk *Sketch) EstimateQueryPlanned(text string) (EstimateResult, error) {
-	p, err := sk.PlanQueryText(text)
-	if err != nil {
-		return EstimateResult{}, err
-	}
-	return sk.EstimatePlanContext(context.Background(), p)
-}
-
 // EstimateBatchPlannedContext runs a workload of parsed queries through
 // the compiled-plan path on the shared batch worker pool, returning one
 // result per query in input order; workers <= 0 selects GOMAXPROCS.

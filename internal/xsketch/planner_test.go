@@ -56,7 +56,7 @@ func TestPlannedBitIdentical(t *testing.T) {
 			q := twig.MustParse(qs)
 			want := sk.EstimateQueryResult(q)
 			for pass, label := range []string{"cold", "warm"} {
-				got, err := sk.EstimateQueryPlanned(qs)
+				got, err := estimatePlanned(sk, qs)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, qs, err)
 				}
@@ -107,9 +107,22 @@ func TestPlannedNormalizedSpellingsShareOnePlan(t *testing.T) {
 	}
 }
 
+// estimatePlanned is the served text path: resolve the plan through
+// PlanQueryText, then execute it.
+func estimatePlanned(sk *Sketch, text string) (EstimateResult, error) {
+	p, err := sk.PlanQueryText(text)
+	if err != nil {
+		return EstimateResult{}, err
+	}
+	return sk.EstimatePlanContext(context.Background(), p)
+}
+
 // TestPlannedZeroAllocsOnHit is the tentpole perf gate: once a query's plan
 // is cached, estimating it allocates nothing — lookup, execution scratch,
-// and histogram match buffers are all reused.
+// and histogram match buffers are all reused. The gate takes the fewest
+// allocations of five passes: under -race, sync.Pool drops Puts at random,
+// so a single pass can read 1 alloc/op, while a real per-call allocation
+// shows in every pass.
 func TestPlannedZeroAllocsOnHit(t *testing.T) {
 	for name, sk := range plannerFixtures(t) {
 		for _, qs := range plannerFixtureQueries[name] {
@@ -117,19 +130,22 @@ func TestPlannedZeroAllocsOnHit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, qs, err)
 			}
-			if _, err := sk.EstimateQueryPlanned(qs); err != nil { // warm buffers
+			if _, err := estimatePlanned(sk, qs); err != nil { // warm buffers
 				t.Fatalf("%s/%s: %v", name, qs, err)
 			}
 			// Both the given spelling (alias hit) and the canonical one
 			// (canonical-map fallback) must be allocation-free.
 			for _, text := range []string{qs, p.Canonical} {
-				allocs := testing.AllocsPerRun(200, func() {
-					if _, err := sk.EstimateQueryPlanned(text); err != nil {
-						t.Fatal(err)
-					}
-				})
+				allocs := math.Inf(1)
+				for pass := 0; pass < 5; pass++ {
+					allocs = min(allocs, testing.AllocsPerRun(200, func() {
+						if _, err := estimatePlanned(sk, text); err != nil {
+							t.Fatal(err)
+						}
+					}))
+				}
 				if allocs != 0 {
-					t.Fatalf("%s/%s: %v allocs/op on the cache-hit path, want 0", name, text, allocs)
+					t.Fatalf("%s/%s: %v allocs/op on the cache-hit path in the best of 5 passes, want 0", name, text, allocs)
 				}
 			}
 		}
@@ -145,7 +161,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	qs := "t0 in movie, t1 in t0/actor"
 	q := twig.MustParse(qs)
 
-	before, err := sk.EstimateQueryPlanned(qs)
+	before, err := estimatePlanned(sk, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +177,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatal("AddValueDim failed")
 	}
 
-	after, err := sk.EstimateQueryPlanned(qs)
+	after, err := estimatePlanned(sk, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +244,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	qs := "t0 in author, t1 in t0/paper"
 	want := sk.EstimateQueryResult(twig.MustParse(qs))
 	for i := 0; i < 2; i++ {
-		got, err := sk.EstimateQueryPlanned(qs)
+		got, err := estimatePlanned(sk, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +263,7 @@ func TestPlannedTruncation(t *testing.T) {
 	cfg := exactConfig()
 	cfg.MaxEmbeddings = 1
 	sk := New(xmltree.Bibliography(), cfg)
-	got, err := sk.EstimateQueryPlanned("t0 in author, t1 in t0//title")
+	got, err := estimatePlanned(sk, "t0 in author, t1 in t0//title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +276,7 @@ func TestPlannedTruncation(t *testing.T) {
 // error rather than a plan.
 func TestPlannedParseError(t *testing.T) {
 	sk := New(xmltree.Bibliography(), exactConfig())
-	if _, err := sk.EstimateQueryPlanned("t0 in"); err == nil {
+	if _, err := estimatePlanned(sk, "t0 in"); err == nil {
 		t.Fatal("expected a parse error")
 	}
 }
@@ -283,7 +299,7 @@ func TestPlannedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				j := (w + i) % len(queries)
-				got, err := sk.EstimateQueryPlanned(queries[j])
+				got, err := estimatePlanned(sk, queries[j])
 				if err != nil {
 					t.Errorf("%s: %v", queries[j], err)
 					return
@@ -360,7 +376,7 @@ func TestPlanCacheLRUInSketch(t *testing.T) {
 	cfg.PlanCacheSize = 2
 	sk := New(xmltree.Bibliography(), cfg)
 	for _, qs := range []string{"t0 in author", "t0 in bib", "t0 in paper"} {
-		if _, err := sk.EstimateQueryPlanned(qs); err != nil {
+		if _, err := estimatePlanned(sk, qs); err != nil {
 			t.Fatal(err)
 		}
 	}

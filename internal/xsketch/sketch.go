@@ -81,7 +81,7 @@ type Config struct {
 	// the cache's effect and as a safety valve.
 	DisableEstimatorCache bool
 	// PlanCacheSize bounds the number of compiled query plans the sketch
-	// retains in its LRU plan cache (see EstimateQueryPlanned). 0 selects
+	// retains in its LRU plan cache (see PlanQueryText). 0 selects
 	// DefaultPlanCacheSize; a negative value disables the plan cache, so
 	// every planned call compiles afresh. Estimates are identical either
 	// way.
