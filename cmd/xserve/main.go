@@ -40,7 +40,8 @@
 // -retry-backoff. The router proxies /estimate and /estimate/batch
 // shard-wise with one retry against the next ring candidate, probes
 // backend /healthz endpoints in the background, and serves its own
-// /healthz and xrouter_* /metrics.
+// /healthz and xrouter_* /metrics. It drains on SIGINT/SIGTERM like a
+// replica and logs and ignores SIGHUP.
 package main
 
 import (
@@ -498,12 +499,12 @@ type tier interface {
 }
 
 // serveAndDrain is the one listen/serve/drain routine of both modes. It
-// serves t on listen until SIGINT/SIGTERM, running onHUP (when non-nil)
-// on every SIGHUP. Then it drains gracefully: /healthz flips to 503 with
-// draining:true first, so load balancers stop sending new work, and
-// in-flight requests finish within drainTimeout. afterDrain (when
-// non-nil) runs once the HTTP server is down. The result is the process
-// exit code.
+// serves t on listen until SIGINT/SIGTERM, running onHUP on every
+// SIGHUP, so a SIGHUP never ends the process. Then it drains gracefully:
+// /healthz flips to 503 with draining:true first, so load balancers stop
+// sending new work, and in-flight requests finish within drainTimeout.
+// afterDrain (when non-nil) runs once the HTTP server is down. The result
+// is the process exit code.
 func serveAndDrain(t tier, listen string, drainTimeout time.Duration, logger *obs.Logger, onHUP func(), afterDrain func() error) int {
 	httpSrv := &http.Server{
 		Addr:              listen,
@@ -513,10 +514,8 @@ func serveAndDrain(t tier, listen string, drainTimeout time.Duration, logger *ob
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	hup := make(chan os.Signal, 1)
-	if onHUP != nil {
-		signal.Notify(hup, syscall.SIGHUP)
-		defer signal.Stop(hup)
-	}
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
@@ -567,5 +566,8 @@ func runRouter(cfg router.Config, backends []string, listen string, drainTimeout
 
 	logger.Info("router listening", "addr", listen, "backends", strings.Join(rt.Backends(), ","))
 	fmt.Fprintf(os.Stderr, "xserve router listening on %s, backends %v\n", listen, rt.Backends())
-	return serveAndDrain(rt, listen, drainTimeout, logger, nil, nil)
+	// A fleet-wide SIGHUP (say, pkill -HUP xserve to reload the replicas)
+	// must not end the router: it holds no synopsis to reload.
+	ignoreHUP := func() { logger.Info("SIGHUP ignored", "reason", "router mode has no synopses to reload") }
+	return serveAndDrain(rt, listen, drainTimeout, logger, ignoreHUP, nil)
 }

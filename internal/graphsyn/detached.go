@@ -112,8 +112,8 @@ func (s *Synopsis) Detached() bool { return s.detached }
 
 // validateDetached is the detached half of Validate: with no document to
 // cross-check against, it verifies internal consistency — positive counts,
-// edge endpoints, count bounds and stability flags agreeing with the
-// counts they are derived from.
+// edge endpoints, count bounds, stability flags agreeing with the counts
+// they are derived from, and adjacency lists matching the edge set.
 func (s *Synopsis) validateDetached() error {
 	for i, n := range s.nodes {
 		if n == nil {
@@ -145,5 +145,5 @@ func (s *Synopsis) validateDetached() error {
 			return fmt.Errorf("graphsyn: detached edge %d->%d stability flags disagree with counts", e.From, e.To)
 		}
 	}
-	return nil
+	return s.validateAdjacency()
 }

@@ -1,8 +1,9 @@
 package graphsyn
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"xsketch/internal/xmltree"
 )
@@ -118,11 +119,11 @@ func (s *Synopsis) Edges() []*Edge {
 	for _, e := range s.edges {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	slices.SortFunc(out, func(a, b *Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return out[i].To < out[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	return out
 }
@@ -142,8 +143,10 @@ func (s *Synopsis) NodesByTag(tag xmltree.TagID) []NodeID {
 }
 
 // RecomputeEdges rebuilds the edge set, adjacency lists, counts and
-// stability flags from the current assignment. It runs in O(|document| +
-// |edges|) and is called after any repartitioning.
+// stability flags from scratch from the current assignment, in
+// O(|document| + |edges|). LabelSplit builds the first edge set with it,
+// and Validate uses it as the oracle that Split's local update must match;
+// Split itself never calls it.
 func (s *Synopsis) RecomputeEdges() {
 	if s.detached {
 		panic("graphsyn: cannot recompute edges of a detached synopsis (loaded without its document)")
@@ -208,7 +211,9 @@ func (s *Synopsis) RecomputeEdges() {
 // v (with a fresh extent), the rest move to a new node whose ID is
 // returned. It returns (newID, true) on success, or (0, false) when the
 // predicate does not actually split the extent (all or none satisfy it), in
-// which case the synopsis is unchanged. Edges are recomputed.
+// which case the synopsis is unchanged. Only the edges incident to v and
+// the new node are recounted (see splitEdges), so a split costs time in
+// v's extent and its neighbors, not in the document.
 func (s *Synopsis) Split(v NodeID, pred func(e xmltree.NodeID) bool) (NodeID, bool) {
 	if s.detached {
 		panic("graphsyn: cannot split a detached synopsis (loaded without its document)")
@@ -225,14 +230,147 @@ func (s *Synopsis) Split(v NodeID, pred func(e xmltree.NodeID) bool) (NodeID, bo
 	if len(keep) == 0 || len(move) == 0 {
 		return 0, false
 	}
-	newID := NodeID(len(s.nodes))
-	s.nodes = append(s.nodes, &Node{ID: newID, Tag: old.Tag, Extent: move})
+	w := NodeID(len(s.nodes))
+	s.nodes = append(s.nodes, &Node{ID: w, Tag: old.Tag, Extent: move})
 	old.Extent = keep
 	for _, e := range move {
-		s.assign[e] = newID
+		s.assign[e] = w
 	}
-	s.RecomputeEdges()
-	return newID, true
+	s.splitEdges(v, w)
+	return w, true
+}
+
+// splitEdges updates the edge set after node v was split into v and w. An
+// edge between two other nodes keeps its counts and flags, because neither
+// its endpoints' extents nor their elements' parents and children changed
+// node. So the edges incident to v or w are recounted from the two
+// extents, the elements' parents and the elements' children, replace v's
+// old edges, and v's old neighbors swap v for v, w or both in their
+// sorted adjacency lists.
+func (s *Synopsis) splitEdges(v, w NodeID) {
+	d := s.Doc
+	inSplit := func(x NodeID) bool { return x == v || x == w }
+	fresh := make(map[[2]NodeID]*Edge)
+	var order []*Edge // fresh edges in creation order, for deterministic walks
+	edge := func(from, to NodeID) *Edge {
+		key := [2]NodeID{from, to}
+		e := fresh[key]
+		if e == nil {
+			e = &Edge{From: from, To: to}
+			fresh[key] = e
+			order = append(order, e)
+		}
+		return e
+	}
+	// outside holds (parent element, half) pairs for parent elements
+	// outside v and w, as element<<1 | (1 if the child is in w); deduped
+	// below, each pair is one parent element for ParentCount.
+	var outside []uint64
+	var kids []NodeID
+	for _, x := range [2]NodeID{v, w} {
+		half := uint64(0)
+		if x == w {
+			half = 1
+		}
+		for _, el := range s.nodes[x].Extent {
+			n := d.Node(el)
+			if p := n.Parent; p != xmltree.NilNode {
+				px := s.assign[p]
+				edge(px, x).ChildCount++
+				if !inSplit(px) {
+					outside = append(outside, uint64(p)<<1|half)
+				}
+			}
+			kids = kids[:0]
+			for _, c := range n.Children {
+				kids = append(kids, s.assign[c])
+			}
+			sortNodeIDs(kids)
+			for i := 0; i < len(kids); {
+				cx, j := kids[i], i+1
+				for j < len(kids) && kids[j] == cx {
+					j++
+				}
+				e := edge(x, cx)
+				e.ParentCount++
+				// A child inside v or w was counted from its own parent
+				// link above.
+				if !inSplit(cx) {
+					e.ChildCount += j - i
+				}
+				i = j
+			}
+		}
+	}
+	slices.Sort(outside)
+	for i, k := range outside {
+		if i > 0 && k == outside[i-1] {
+			continue
+		}
+		x := v
+		if k&1 == 1 {
+			x = w
+		}
+		fresh[[2]NodeID{s.assign[xmltree.NodeID(k>>1)], x}].ParentCount++
+	}
+
+	// Swap the fresh edges in. Every old edge of v survives as at least
+	// one of its v/w variants, and no other node gains a neighbor.
+	nv, nw := s.nodes[v], s.nodes[w]
+	for _, c := range nv.Children {
+		if key := [2]NodeID{v, c}; fresh[key] == nil {
+			delete(s.edges, key)
+		}
+	}
+	for _, p := range nv.Parents {
+		if key := [2]NodeID{p, v}; fresh[key] == nil {
+			delete(s.edges, key)
+		}
+	}
+	for _, e := range order {
+		e.BStable = e.ChildCount == s.nodes[e.To].Count()
+		e.FStable = e.ParentCount == s.nodes[e.From].Count()
+		s.edges[[2]NodeID{e.From, e.To}] = e
+	}
+	for _, c := range nv.Children {
+		if !inSplit(c) {
+			n := s.nodes[c]
+			n.Parents = replaceSplitNeighbor(n.Parents, v, w, fresh[[2]NodeID{v, c}] != nil, fresh[[2]NodeID{w, c}] != nil)
+		}
+	}
+	for _, p := range nv.Parents {
+		if !inSplit(p) {
+			n := s.nodes[p]
+			n.Children = replaceSplitNeighbor(n.Children, v, w, fresh[[2]NodeID{p, v}] != nil, fresh[[2]NodeID{p, w}] != nil)
+		}
+	}
+	nv.Children, nv.Parents = nv.Children[:0], nv.Parents[:0]
+	for _, e := range order {
+		if inSplit(e.From) {
+			s.nodes[e.From].Children = append(s.nodes[e.From].Children, e.To)
+		}
+		if inSplit(e.To) {
+			s.nodes[e.To].Parents = append(s.nodes[e.To].Parents, e.From)
+		}
+	}
+	for _, n := range [2]*Node{nv, nw} {
+		sortNodeIDs(n.Children)
+		sortNodeIDs(n.Parents)
+	}
+}
+
+// replaceSplitNeighbor rewrites the sorted neighbor list of a node that
+// was adjacent to v before v split into v and w: v stays only while still
+// adjacent, and w, the largest node ID, is appended when adjacent.
+func replaceSplitNeighbor(ids []NodeID, v, w NodeID, hasV, hasW bool) []NodeID {
+	if !hasV {
+		i, _ := slices.BinarySearch(ids, v)
+		ids = slices.Delete(ids, i, i+1)
+	}
+	if hasW {
+		ids = append(ids, w)
+	}
+	return ids
 }
 
 // BStabilize splits node v so that the edge u -> v becomes backward-stable:
@@ -287,7 +425,8 @@ func (s *Synopsis) Clone() *Synopsis {
 
 // Validate checks the synopsis invariants: the extents partition the
 // document, tags are uniform within nodes, the assignment is consistent
-// with extents, and edge counts/stabilities match a recomputation.
+// with extents, edge counts/stabilities match a from-scratch
+// recomputation, and the adjacency lists match the edge set.
 func (s *Synopsis) Validate() error {
 	if s.detached {
 		return s.validateDetached()
@@ -332,6 +471,37 @@ func (s *Synopsis) Validate() error {
 			return fmt.Errorf("graphsyn: edge %v stale: %+v vs recomputed %+v", k, e, ce)
 		}
 	}
+	return s.validateAdjacency()
+}
+
+// validateAdjacency checks that every node's Children and Parents are
+// strictly ascending and list exactly the endpoints of the edge set: each
+// entry names an existing edge, and there are as many entries as edges.
+func (s *Synopsis) validateAdjacency() error {
+	children, parents := 0, 0
+	for _, n := range s.nodes {
+		for i, c := range n.Children {
+			if i > 0 && c <= n.Children[i-1] {
+				return fmt.Errorf("graphsyn: node %d children not strictly ascending: %v", n.ID, n.Children)
+			}
+			if s.edges[[2]NodeID{n.ID, c}] == nil {
+				return fmt.Errorf("graphsyn: node %d lists child %d without an edge", n.ID, c)
+			}
+		}
+		for i, p := range n.Parents {
+			if i > 0 && p <= n.Parents[i-1] {
+				return fmt.Errorf("graphsyn: node %d parents not strictly ascending: %v", n.ID, n.Parents)
+			}
+			if s.edges[[2]NodeID{p, n.ID}] == nil {
+				return fmt.Errorf("graphsyn: node %d lists parent %d without an edge", n.ID, p)
+			}
+		}
+		children += len(n.Children)
+		parents += len(n.Parents)
+	}
+	if children != len(s.edges) || parents != len(s.edges) {
+		return fmt.Errorf("graphsyn: adjacency lists hold %d child and %d parent entries for %d edges", children, parents, len(s.edges))
+	}
 	return nil
 }
 
@@ -347,6 +517,4 @@ func (s *Synopsis) String() string {
 	return fmt.Sprintf("synopsis{%d nodes, %d edges over %d elements}", len(s.nodes), len(s.edges), s.Doc.Len())
 }
 
-func sortNodeIDs(ids []NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortNodeIDs(ids []NodeID) { slices.Sort(ids) }

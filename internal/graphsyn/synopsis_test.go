@@ -1,6 +1,7 @@
 package graphsyn
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -318,36 +319,162 @@ func randomDoc(rng *rand.Rand, n int) *xmltree.Document {
 	return d
 }
 
-func TestRandomSplitsPreserveInvariants(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := randomDoc(rng, 120)
-		s := LabelSplit(d)
-		for i := 0; i < 6; i++ {
-			edges := s.Edges()
-			if len(edges) == 0 {
-				break
-			}
-			e := edges[rng.Intn(len(edges))]
-			if rng.Intn(2) == 0 {
-				s.BStabilize(e.From, e.To)
-			} else {
-				s.FStabilize(e.From, e.To)
-			}
+// recursiveDoc builds a random tree of mostly one recursive tag: each new
+// element hangs below one of the last few elements, so chains are deep,
+// "a" nests in "a" at every level, and splits of an "a" node leave
+// self-loops and edges between the two halves in both directions.
+func recursiveDoc(rng *rand.Rand, n int) *xmltree.Document {
+	d := xmltree.NewDocument("a")
+	for d.Len() < n {
+		lo := d.Len() - 6
+		if lo < 0 {
+			lo = 0
 		}
-		if err := s.Validate(); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+		parent := xmltree.NodeID(lo + rng.Intn(d.Len()-lo))
+		tag := "a"
+		if rng.Intn(4) == 0 {
+			tag = "b"
 		}
-		// Extent sizes sum to document size.
-		total := 0
-		for _, n := range s.Nodes() {
-			total += n.Count()
-		}
-		return total == d.Len()
+		d.AddChild(parent, tag)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	return d
+}
+
+// TestRandomSplitsPreserveInvariants applies random B-/F-stabilizations
+// and arbitrary two-way splits and validates after every one, so the
+// local edge update in Split is checked against the from-scratch
+// recount each time.
+func TestRandomSplitsPreserveInvariants(t *testing.T) {
+	docs := map[string]func(*rand.Rand, int) *xmltree.Document{
+		"random":    randomDoc,
+		"recursive": recursiveDoc,
+	}
+	for name, gen := range docs {
+		t.Run(name, func(t *testing.T) {
+			prop := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				d := gen(rng, 120)
+				s := LabelSplit(d)
+				for i := 0; i < 30; i++ {
+					edges := s.Edges()
+					if len(edges) == 0 {
+						break
+					}
+					e := edges[rng.Intn(len(edges))]
+					switch rng.Intn(3) {
+					case 0:
+						s.BStabilize(e.From, e.To)
+					case 1:
+						s.FStabilize(e.From, e.To)
+					default:
+						s.Split(e.To, func(xmltree.NodeID) bool { return rng.Intn(2) == 0 })
+					}
+					if err := s.Validate(); err != nil {
+						t.Logf("seed %d, split %d: %v", seed, i, err)
+						return false
+					}
+				}
+				// Extent sizes sum to document size.
+				total := 0
+				for _, n := range s.Nodes() {
+					total += n.Count()
+				}
+				return total == d.Len()
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestValidateCatchesStaleAdjacency corrupts one adjacency list at a time
+// and expects Validate to notice, since Split maintains the lists itself.
+func TestValidateCatchesStaleAdjacency(t *testing.T) {
+	corruptions := map[string]func(n *Node, s *Synopsis){
+		"unsorted children": func(n *Node, _ *Synopsis) {
+			n.Children[0], n.Children[1] = n.Children[1], n.Children[0]
+		},
+		"missing child": func(n *Node, _ *Synopsis) {
+			n.Children = n.Children[1:]
+		},
+		"extra parent": func(n *Node, s *Synopsis) {
+			n.Parents = append(n.Parents, NodeID(s.NumNodes()-1))
+		},
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			d, s := bibSynopsis(t)
+			// author has children name, paper and book, and parent bib.
+			corrupt(nodeByTag(t, d, s, "author"), s)
+			if err := s.Validate(); err == nil {
+				t.Fatal("Validate accepted a corrupted adjacency list")
+			}
+		})
+	}
+}
+
+// localityDoc builds a document with a fixed region around the node the
+// locality test splits, plus bulk groups of distinct tags that grow the
+// document and its synopsis without touching that node's neighborhood.
+// The region: p and q elements (under the root) with 3 and 2 leaf x
+// children. Each of the `groups` bulk groups is a g<i> element with 7 h
+// children.
+func localityDoc(groups int) *xmltree.Document {
+	d := xmltree.NewDocument("r")
+	p := d.AddChild(d.Root(), "p")
+	q := d.AddChild(d.Root(), "q")
+	for i := 0; i < 3; i++ {
+		d.AddChild(p, "x")
+	}
+	for i := 0; i < 2; i++ {
+		d.AddChild(q, "x")
+	}
+	for i := 0; i < groups; i++ {
+		g := d.AddChild(d.Root(), fmt.Sprintf("g%d", i))
+		for j := 0; j < 7; j++ {
+			d.AddChild(g, "h")
+		}
+	}
+	return d
+}
+
+// TestSplitAllocsIndependentOfDocumentSize is the split-locality gate:
+// B-stabilizing the same small node allocates exactly as much in a
+// document 8 times larger, with 8 times as many synopsis edges. A split
+// that recounted the whole document or rebuilt every edge would allocate
+// in proportion to the larger one.
+func TestSplitAllocsIndependentOfDocumentSize(t *testing.T) {
+	allocs := func(groups int) float64 {
+		d := localityDoc(groups)
+		base := LabelSplit(d)
+		tag := func(name string) NodeID {
+			id, _ := d.LookupTag(name)
+			return base.NodesByTag(id)[0]
+		}
+		p, x := tag("p"), tag("x")
+		const runs = 50
+		// Splits mutate, so each run gets its own clone, made untimed.
+		clones := make([]*Synopsis, runs+1)
+		for i := range clones {
+			clones[i] = base.Clone()
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			s := clones[next]
+			next++
+			if _, ok := s.BStabilize(p, x); !ok {
+				t.Fatal("BStabilize(p, x) did not split")
+			}
+		})
+		if err := clones[0].Validate(); err != nil {
+			t.Fatalf("after split: %v", err)
+		}
+		return got
+	}
+	small, large := allocs(32), allocs(256)
+	if small != large {
+		t.Fatalf("split allocations grew with the document: %v with 32 bulk groups, %v with 256", small, large)
 	}
 }
 

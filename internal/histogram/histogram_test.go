@@ -49,6 +49,32 @@ func TestSparseAddPanicsOnWrongArity(t *testing.T) {
 	NewSparse(2).Add([]int32{1}, 1)
 }
 
+// TestSparseAddExistingPointAllocatesNothing pins the stack-built key:
+// accumulating onto a known point allocates nothing, and only a new point
+// pays for its key and coordinates.
+func TestSparseAddExistingPointAllocatesNothing(t *testing.T) {
+	s := NewSparse(3)
+	coords := []int32{7, -1, 1 << 20}
+	s.Add(coords, 1)
+	if got := testing.AllocsPerRun(100, func() { s.Add(coords, 1) }); got != 0 {
+		t.Fatalf("Add on an existing point: %v allocations, want 0", got)
+	}
+	if s.Len() != 1 || s.Total() != 102 {
+		t.Fatalf("Len %d, Total %v after 102 adds of one point", s.Len(), s.Total())
+	}
+	// Wider than the stack buffer: still correct, just not allocation-free.
+	wide := make([]int32, 20)
+	w := NewSparse(len(wide))
+	w.Add(wide, 1)
+	wide[19] = 1
+	w.Add(wide, 1)
+	wide[19] = 0
+	w.Add(wide, 1)
+	if pts := w.Points(); len(pts) != 2 || pts[0].Freq != 2 || pts[1].Freq != 1 {
+		t.Fatalf("wide points = %+v", pts)
+	}
+}
+
 func TestCompressExactWhenSmall(t *testing.T) {
 	s := NewSparse(2)
 	s.Add([]int32{10, 100}, 0.5)

@@ -33,13 +33,16 @@ func (s *Sparse) Add(coords []int32, weight float64) {
 	if len(coords) != s.dims {
 		panic(fmt.Sprintf("histogram: Add with %d coords on %d-dim distribution", len(coords), s.dims))
 	}
-	k := key(coords)
-	p := s.points[k]
+	// The key is built in a stack buffer and the lookup converts it
+	// without allocating; only a new point's key becomes a string.
+	var buf [64]byte
+	k := appendKey(buf[:0], coords)
+	p := s.points[string(k)]
 	if p == nil {
 		c := make([]int32, len(coords))
 		copy(c, coords)
 		p = &point{coords: c}
-		s.points[k] = p
+		s.points[string(k)] = p
 	}
 	p.freq += weight
 	s.total += weight
@@ -81,12 +84,13 @@ type Point struct {
 	Freq   float64
 }
 
-func key(coords []int32) string {
-	b := make([]byte, 0, len(coords)*4)
+// appendKey appends the map key of a point: each coordinate as 4
+// little-endian bytes.
+func appendKey(b []byte, coords []int32) []byte {
 	for _, c := range coords {
 		b = append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 	}
-	return string(b)
+	return b
 }
 
 func lessCoords(a, b []int32) bool {

@@ -2,7 +2,7 @@ package histogram
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // ValueHistogram is a one-dimensional equi-depth histogram over element
@@ -33,7 +33,7 @@ func NewValueHistogram(values []int64, maxBuckets int) *ValueHistogram {
 	}
 	sorted := make([]int64, len(values))
 	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 
 	per := (len(sorted) + maxBuckets - 1) / maxBuckets
 	i := 0

@@ -83,8 +83,9 @@ func requestCount(t *testing.T, f front, path string, code int) float64 {
 
 // TestSharedFront runs the same requests against a replica and a router
 // in front of it: both tiers must assign and echo trace IDs, count the
-// request by path and status, and answer oversized bodies and bad batch
-// shapes with the same status and error text.
+// request by path and status, and answer oversized, truncated and
+// trailing-data bodies and bad batch shapes with the same status and
+// error text.
 func TestSharedFront(t *testing.T) {
 	fronts := newFronts(t)
 	point := fmt.Sprintf(`{"query":%q}`, testQuery)
@@ -98,6 +99,11 @@ func TestSharedFront(t *testing.T) {
 	}{
 		{name: "client trace ID echoed", path: "/estimate", traceID: "client-trace-1", body: point, code: http.StatusOK},
 		{name: "trace ID assigned", path: "/estimate", body: point, code: http.StatusOK},
+		{name: "trailing whitespace", path: "/estimate", body: point + " \r\n\t", code: http.StatusOK},
+		{name: "trailing data", path: "/estimate", body: point + " trailing garbage",
+			code: http.StatusBadRequest, err: "malformed request body: invalid character 't' after top-level value"},
+		{name: "truncated body", path: "/estimate", body: point[:len(point)-2],
+			code: http.StatusBadRequest, err: "malformed request body: unexpected end of JSON input"},
 		{name: "oversized body", path: "/estimate",
 			body: fmt.Sprintf(`{"query":%q}`, strings.Repeat("x", bodyLimit)),
 			code: http.StatusRequestEntityTooLarge, err: fmt.Sprintf("request body exceeds %d bytes", bodyLimit)},

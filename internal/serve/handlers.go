@@ -341,8 +341,8 @@ func (s *Server) release() {
 }
 
 // decodeBody reads a size-limited JSON body into v, answering 413 for
-// oversized and 400 for malformed input (unknown fields included). It
-// reports whether the caller may proceed.
+// oversized and 400 for malformed input (unknown fields and data after
+// the JSON value included). It reports whether the caller may proceed.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, tid string, v any) bool {
 	body, ok := httpfront.ReadBody(w, r, s.cfg.MaxBodyBytes, tid)
 	if !ok {
@@ -350,7 +350,16 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, tid string, 
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err != nil || len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		// A body that is not exactly one JSON value (truncated, or with
+		// data after the value) gets json.Unmarshal's syntax error, the
+		// one the router answers the same body with.
+		if serr := json.Unmarshal(body, new(struct{})); serr != nil {
+			err = serr
+		}
+	}
+	if err != nil {
 		httpfront.WriteError(w, http.StatusBadRequest, tid, fmt.Errorf("malformed request body: %w", err))
 		return false
 	}

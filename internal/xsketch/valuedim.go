@@ -2,6 +2,7 @@ package xsketch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xsketch/internal/graphsyn"
@@ -114,7 +115,7 @@ func (sk *Sketch) newValueDim(source graphsyn.NodeID, bins int) *ValueDim {
 	if len(vals) == 0 {
 		return nil
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	vd := &ValueDim{Source: source, Lo: vals[0]}
 	per := (len(vals) + bins - 1) / bins
 	lo := vals[0]
