@@ -278,16 +278,16 @@ func BenchmarkCSTEstimate(b *testing.B) {
 	}
 }
 
-func BenchmarkXBuildStep(b *testing.B) {
-	d := xmlgen.IMDB(xmlgen.Config{Seed: 1, Scale: 0.05})
+// BenchmarkXBuildRun times a whole XBUILD run at served size: xmark at
+// scale 1.5 (150,890 elements) and budget 51200, the synopsis servebench's
+// batch-wide workload builds. Costs that grow with the document (clones,
+// splits, rebuilds, anchored resamples) show here; one step on a small
+// document hides them.
+func BenchmarkXBuildRun(b *testing.B) {
+	d := xmlgen.XMark(xmlgen.Config{Seed: 1, Scale: 1.5})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		opts := build.DefaultOptions(1 << 30)
-		opts.MaxSteps = 1
-		bl := build.NewBuilder(d, opts)
-		b.StartTimer()
-		bl.Step()
+		build.NewBuilder(d, build.DefaultOptions(51200)).Run()
 	}
 }
 

@@ -111,10 +111,13 @@ type Builder struct {
 	steps []Step
 	rng   *rand.Rand
 
-	// scoring state (see score.go)
+	// scoring state (see score.go): the workload is the sampled share
+	// plus the anchored share, and scores holds the current synopsis's
+	// estimates and reads on it for the step in progress.
 	queries  []scoredQuery
-	base     []scoredQuery
+	sampled  []scoredQuery
 	anchored []scoredQuery
+	scores   baseScores
 	ref      *core.Sketch
 }
 
@@ -181,11 +184,12 @@ func (b *Builder) Step() bool {
 	if len(cands) == 0 {
 		return false
 	}
+	b.scoreBase()
 	if b.opts.RandomSelection {
 		return b.stepRandom(cands, curSize, started)
 	}
 	cands = b.sampleCandidates(cands)
-	curErr := b.errorOfParallel(b.sk, b.opts.Parallelism)
+	curErr := b.scores.err
 	results := b.scoreAll(cands)
 	best, bestGain := -1, 0.0
 	for i, r := range results {

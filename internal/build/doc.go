@@ -24,6 +24,13 @@
 // the same Options.Seed always yields the same synopsis regardless of
 // scheduling or Options.Parallelism.
 //
+// A candidate is a copy-on-write clone of the current synopsis, so it
+// costs time in what its refinement changes: a split rebuilds only the
+// summaries that read the split node, and scoring re-estimates only the
+// queries whose recorded reads (xsketch.Sketch.EstimateReads) meet the
+// nodes the refinement replaced; every other estimate is the current
+// synopsis's.
+//
 // Scoring truths default to exact selectivities of the sampled queries;
 // Options.ReferenceScoring substitutes estimates from a large reference
 // synopsis, the paper's method for "avoiding costly accesses to the

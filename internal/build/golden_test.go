@@ -15,12 +15,15 @@ import (
 // this one compares against fixed hashes, so a change to how splits,
 // histograms or scoring are computed that alters any output bit fails
 // here. A deliberate change of output must update the hashes and say why.
+// The last two cases are the synopses servebench serves: a full Run at
+// served scale and budget (steps 0), so document-scale paths are pinned.
 func TestXBuildGoldenCatalog(t *testing.T) {
 	cases := []struct {
 		name     string
 		dataset  string
 		scale    float64
-		steps    int
+		steps    int // 0: Run to the budget
+		budget   int // 0: unbounded
 		backward bool
 		catalog  string // sha256 of catalog.EncodeBytes
 		assign   string // sha256 of Assignment() as little-endian int32s
@@ -40,13 +43,24 @@ func TestXBuildGoldenCatalog(t *testing.T) {
 		{name: "imdb-backward", dataset: xmlgen.IMDBName, scale: 0.02, steps: 20, backward: true,
 			catalog: "f491edb5aeb30e0f710a6b7267e5d8214adeacd14434c6b585013f8e9438138d",
 			assign:  "35db5cb8c99ae5fd88ccbca535b5de27837636ea8e15ce91a841964a9e87b1b1"},
+		{name: "xmark-served", dataset: xmlgen.XMarkName, scale: 1.5, budget: 51200,
+			catalog: "0f7c8aabcd038e386e33ce86862fcfbfd6c7b20b9dad9f07086374de422b1c64",
+			assign:  "fb2315bba8c980b4f3ad37be6f048f6289ff505744a7b9ee6971b0b73f2e3bde"},
+		{name: "imdb-served", dataset: xmlgen.IMDBName, scale: 0.5, budget: 51200,
+			catalog: "7f86697866bf2e09f0f51c19845f491faacd9552ada60ff76cc480c26b1811ce",
+			assign:  "1d2e296155cb23d0bd1456f34bb735e9f85979199f7d3199efb2e76898e5b111"},
 	}
 	splits := 0
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			doc := xmlgen.Generate(tc.dataset, xmlgen.Config{Seed: 1, Scale: tc.scale})
 			opts := DefaultOptions(1 << 30)
-			opts.MaxSteps = tc.steps
+			if tc.budget > 0 {
+				opts = DefaultOptions(tc.budget)
+			}
+			if tc.steps > 0 {
+				opts.MaxSteps = tc.steps
+			}
 			opts.EnableBackwardExpand = tc.backward
 			b := NewBuilder(doc, opts)
 			b.Run()

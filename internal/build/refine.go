@@ -2,6 +2,7 @@ package build
 
 import (
 	"fmt"
+	"slices"
 
 	"xsketch/internal/graphsyn"
 	core "xsketch/internal/xsketch"
@@ -212,26 +213,23 @@ func (b *Builder) apply(sk *core.Sketch, r Refinement) bool {
 		if s == nil || r.Buckets <= s.Buckets {
 			return false
 		}
-		s.Buckets = r.Buckets
-		sk.RebuildNode(r.Node)
+		sk.SetBuckets(r.Node, r.Buckets)
 	case OpValueRefine:
 		s := sk.Summary(r.Node)
 		if s == nil || r.Buckets <= s.ValueBuckets {
 			return false
 		}
-		s.ValueBuckets = r.Buckets
-		sk.RebuildNode(r.Node)
+		sk.SetValueBuckets(r.Node, r.Buckets)
 	case OpEdgeExpand:
 		s := sk.Summary(r.Node)
 		e := core.ScopeEdge{From: r.From, To: r.To}
 		if s == nil || inScope(s.Scope, e) {
 			return false
 		}
-		s.ExtraScope = append(s.ExtraScope, e)
-		sk.RebuildNode(r.Node)
-		// RebuildNode drops the edge again if it is not a valid scope
-		// member; treat that as inapplicable.
-		return inScope(sk.Summary(r.Node).Scope, e)
+		// The edge is not in the default scope (it is not in the scope
+		// at all), so it survives the rebuild exactly when it stays in
+		// ExtraScope; otherwise the candidate is inapplicable.
+		return sk.AddScopeEdge(r.Node, e)
 	case OpValueExpand:
 		return sk.AddValueDim(r.Node, r.Source, r.Buckets)
 	default:
@@ -265,31 +263,62 @@ func inheritSummary(sk *core.Sketch, from, to graphsyn.NodeID) {
 }
 
 // rebuildAfterSplit recomputes the summaries invalidated by splitting v
-// into (v, w). Without backward counts only the two halves, their parents
-// (whose F-stable default scopes reference v/w) and their children (whose
-// B-stable ancestor chains, and hence extra-scope/value-dim validity, may
-// have changed) are affected; with backward expand enabled, scope edges
-// can reference arbitrary ancestors, so everything is rebuilt.
+// into (v, w). With backward expand enabled, scope edges can reference
+// arbitrary B-stable ancestors, whose chains a split may change, so
+// everything is rebuilt. Forward-only, a summary reads its own extent,
+// its elements' children and the F-stable edges out of its node. So only
+// these change:
+//   - v and w, whose extents changed;
+//   - a parent whose scope, extra scope or value dimensions name v, or
+//     whose edge to v or w is now F-stable: its counts or value
+//     coordinates for v are split between v and w.
+//
+// A child keeps its extent, its children and its out-edges, and with
+// forward-only scopes its B-stable chain is never read, so its summary
+// is unchanged. The other parents have neither v nor w in scope, so their
+// histograms count nothing that moved.
 func (b *Builder) rebuildAfterSplit(sk *core.Sketch, v, w graphsyn.NodeID) {
 	if b.opts.EnableBackwardExpand {
 		sk.RebuildAll()
 		return
 	}
-	affected := map[graphsyn.NodeID]bool{v: true, w: true}
-	for _, id := range []graphsyn.NodeID{v, w} {
-		n := sk.Syn.Node(id)
-		for _, p := range n.Parents {
-			affected[p] = true
-		}
-		for _, c := range n.Children {
-			affected[c] = true
-		}
-	}
-	// Deterministic rebuild order (map iteration order is random, and
-	// RebuildNode allocates into shared state).
-	for _, n := range sk.Syn.Nodes() {
-		if affected[n.ID] {
-			sk.RebuildNode(n.ID)
+	sk.RebuildNode(v)
+	sk.RebuildNode(w)
+	parents := append(slices.Clone(sk.Syn.Node(v).Parents), sk.Syn.Node(w).Parents...)
+	slices.Sort(parents)
+	for _, p := range slices.Compact(parents) {
+		if p != v && p != w && readsSplit(sk, p, v, w) {
+			sk.RebuildNode(p)
 		}
 	}
+}
+
+// readsSplit reports whether node p's summary must be rebuilt after v
+// split into (v, w): its scope, extra scope or value dimensions name v
+// or w, or one of its edges to them is F-stable and so joins its default
+// scope.
+func readsSplit(sk *core.Sketch, p, v, w graphsyn.NodeID) bool {
+	split := func(x graphsyn.NodeID) bool { return x == v || x == w }
+	s := sk.Summary(p)
+	for _, e := range s.Scope {
+		if split(e.To) {
+			return true
+		}
+	}
+	for _, e := range s.ExtraScope {
+		if split(e.To) {
+			return true
+		}
+	}
+	for _, vd := range s.ValueDims {
+		if split(vd.Source) {
+			return true
+		}
+	}
+	for _, x := range [2]graphsyn.NodeID{v, w} {
+		if e := sk.Syn.Edge(p, x); e != nil && e.FStable {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package build
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"xsketch/internal/graphsyn"
@@ -45,8 +46,8 @@ func (b *Builder) initScoring() {
 		b.ref = core.New(b.doc, cfg)
 	}
 	if w := b.opts.ScoringWorkload; w != nil {
-		b.base = b.scoredQueries(w)
-		b.queries = b.base
+		b.sampled = b.scoredQueries(w)
+		b.queries = b.sampled
 		return
 	}
 	// Sample a P+V workload so value predicates exercise the value
@@ -57,8 +58,8 @@ func (b *Builder) initScoring() {
 	cfg.NumQueries = b.opts.ScoringQueries
 	cfg.MinNodes, cfg.MaxNodes = 2, 6
 	cfg.Seed = b.opts.Seed
-	b.base = b.scoredQueries(workload.Generate(b.doc, cfg))
-	b.queries = b.base
+	b.sampled = b.scoredQueries(workload.Generate(b.doc, cfg))
+	b.queries = b.sampled
 }
 
 // resampleAnchored refreshes the anchored share of the scoring workload
@@ -77,7 +78,7 @@ func (b *Builder) resampleAnchored(node graphsyn.NodeID) {
 	if cfg.NumQueries > 0 {
 		b.anchored = b.scoredQueries(workload.Generate(b.doc, cfg))
 	}
-	b.queries = append(append([]scoredQuery(nil), b.base...), b.anchored...)
+	b.queries = append(append([]scoredQuery(nil), b.sampled...), b.anchored...)
 }
 
 // scoredQueries converts a generated workload into scoring queries,
@@ -104,29 +105,64 @@ func (b *Builder) scoredQueries(w *workload.Workload) []scoredQuery {
 	return out
 }
 
-// errorOf scores a synopsis on the current scoring workload with the
-// paper's sanity-bounded average relative error. It runs the batch path
-// single-worker: candidate scoring already saturates the worker pool one
-// level up, and the per-sketch cache (shared across the workload's
-// queries) is where the win is.
-func (b *Builder) errorOf(sk *core.Sketch) float64 {
-	return b.errorOfParallel(sk, 1)
+// baseScores is the current synopsis's scoring state for one step: each
+// scoring query's estimate, the synopsis nodes that estimate read, and
+// the workload error.
+type baseScores struct {
+	ests  []float64
+	reads []core.Reads
+	err   float64
 }
 
-// errorOfParallel is errorOf with an explicit estimation worker count,
-// used where the caller is not itself running on the scoring pool.
-func (b *Builder) errorOfParallel(sk *core.Sketch, workers int) float64 {
+// scoreBase estimates every scoring query on the current synopsis,
+// recording what each estimate read, on the worker pool.
+func (b *Builder) scoreBase() {
+	n := len(b.queries)
+	bs := baseScores{ests: make([]float64, n), reads: make([]core.Reads, n)}
+	parallel(n, b.opts.Parallelism, func(i int) {
+		r, reads := b.sk.EstimateReads(b.queries[i].q)
+		bs.ests[i], bs.reads[i] = r.Estimate, reads
+	})
+	bs.err = b.errorFrom(bs.ests)
+	b.scores = bs
+}
+
+// candidateEstimates returns the scoring-query estimates on sk, a
+// refined clone of the current synopsis. Only the queries whose recorded
+// reads meet what the refinement changed are estimated again; every other
+// estimate read only state sk shares with the current synopsis, so the
+// base estimate is its estimate on sk too. A split typically changes the
+// split node, the new node and their neighbors; a budget or scope change
+// changes one node's summary.
+func (b *Builder) candidateEstimates(sk *core.Sketch) []float64 {
+	changed := sk.ChangedFrom(b.sk)
+	ests := slices.Clone(b.scores.ests)
+	var idx []int
+	var qs []*twig.Query
+	for i, r := range b.scores.reads {
+		if r.Meets(changed) {
+			idx = append(idx, i)
+			qs = append(qs, b.queries[i].q)
+		}
+	}
+	// One worker: candidate scoring already saturates the worker pool
+	// one level up, and the candidate's cache is shared across its
+	// queries.
+	for j, r := range sk.EstimateBatch(qs, 1) {
+		ests[idx[j]] = r.Estimate
+	}
+	return ests
+}
+
+// errorFrom is the paper's sanity-bounded average relative error of the
+// given scoring-query estimates.
+func (b *Builder) errorFrom(ests []float64) float64 {
 	if len(b.queries) == 0 {
 		return 0
 	}
-	qs := make([]*twig.Query, len(b.queries))
-	for i, sq := range b.queries {
-		qs[i] = sq.q
-	}
-	ests := sk.EstimateBatch(qs, workers)
 	results := make([]metrics.Result, len(b.queries))
 	for i, sq := range b.queries {
-		results[i] = metrics.Result{Truth: sq.truth, Estimate: ests[i].Estimate}
+		results[i] = metrics.Result{Truth: sq.truth, Estimate: ests[i]}
 	}
 	return metrics.Evaluate(results, 0).AvgError
 }
@@ -138,7 +174,7 @@ func (b *Builder) scoreOne(c candidate) *scoreResult {
 	if !b.apply(sk, c.ref) {
 		return nil
 	}
-	return &scoreResult{sk: sk, size: sk.SizeBytes(), err: b.errorOf(sk)}
+	return &scoreResult{sk: sk, size: sk.SizeBytes(), err: b.errorFrom(b.candidateEstimates(sk))}
 }
 
 // scoreAll scores every candidate on a worker pool. Results land at their
@@ -147,31 +183,35 @@ func (b *Builder) scoreOne(c candidate) *scoreResult {
 // scheduling order.
 func (b *Builder) scoreAll(cands []candidate) []*scoreResult {
 	out := make([]*scoreResult, len(cands))
-	workers := b.opts.Parallelism
-	if workers > len(cands) {
-		workers = len(cands)
+	parallel(len(cands), b.opts.Parallelism, func(i int) { out[i] = b.scoreOne(cands[i]) })
+	return out
+}
+
+// parallel calls fn(i) for every i in [0, n) on up to workers goroutines.
+func parallel(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for i, c := range cands {
-			out[i] = b.scoreOne(c)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return out
+		return
 	}
-	ch := make(chan int, len(cands))
+	ch := make(chan int, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range ch {
-				out[i] = b.scoreOne(cands[i])
+				fn(i)
 			}
 		}()
 	}
-	for i := range cands {
+	for i := 0; i < n; i++ {
 		ch <- i
 	}
 	close(ch)
 	wg.Wait()
-	return out
 }

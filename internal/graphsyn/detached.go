@@ -55,8 +55,7 @@ func FromDetached(doc *xmltree.Document, root NodeID, nodes []DetachedNodeSpec, 
 		nodes:    make([]*Node, len(nodes)),
 		// The stub document has exactly one element, the root; its
 		// assignment makes NodeOf(doc.Root()) resolve to the root node.
-		assign: []NodeID{root},
-		edges:  make(map[[2]NodeID]*Edge, len(edges)),
+		assign: [][]NodeID{{root}},
 	}
 	for i, spec := range nodes {
 		if spec.Count <= 0 {
@@ -71,13 +70,10 @@ func FromDetached(doc *xmltree.Document, root NodeID, nodes []DetachedNodeSpec, 
 		return nil, fmt.Errorf("graphsyn: root node tag %d disagrees with stub root tag %d",
 			s.nodes[root].Tag, doc.Node(doc.Root()).Tag)
 	}
+	sorted := make([]Edge, len(edges))
 	for i, e := range edges {
 		if e.From < 0 || int(e.From) >= len(nodes) || e.To < 0 || int(e.To) >= len(nodes) {
 			return nil, fmt.Errorf("graphsyn: detached edge %d (%d->%d) references missing node", i, e.From, e.To)
-		}
-		key := [2]NodeID{e.From, e.To}
-		if _, dup := s.edges[key]; dup {
-			return nil, fmt.Errorf("graphsyn: duplicate detached edge %d->%d", e.From, e.To)
 		}
 		cf, ct := s.nodes[e.From].Count(), s.nodes[e.To].Count()
 		if e.ChildCount < 1 || e.ChildCount > ct {
@@ -86,7 +82,7 @@ func FromDetached(doc *xmltree.Document, root NodeID, nodes []DetachedNodeSpec, 
 		if e.ParentCount < 1 || e.ParentCount > cf {
 			return nil, fmt.Errorf("graphsyn: detached edge %d->%d parent count %d outside [1, %d]", e.From, e.To, e.ParentCount, cf)
 		}
-		s.edges[key] = &Edge{
+		sorted[i] = Edge{
 			From:        e.From,
 			To:          e.To,
 			ChildCount:  e.ChildCount,
@@ -95,13 +91,14 @@ func FromDetached(doc *xmltree.Document, root NodeID, nodes []DetachedNodeSpec, 
 			BStable: e.ChildCount == ct,
 			FStable: e.ParentCount == cf,
 		}
-		s.nodes[e.From].Children = append(s.nodes[e.From].Children, e.To)
-		s.nodes[e.To].Parents = append(s.nodes[e.To].Parents, e.From)
 	}
-	for _, n := range s.nodes {
-		sortNodeIDs(n.Children)
-		sortNodeIDs(n.Parents)
+	sortEdges(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if a, b := sorted[i-1], sorted[i]; a.From == b.From && a.To == b.To {
+			return nil, fmt.Errorf("graphsyn: duplicate detached edge %d->%d", a.From, a.To)
+		}
 	}
+	s.setEdges(sorted)
 	return s, nil
 }
 
@@ -126,24 +123,17 @@ func (s *Synopsis) validateDetached() error {
 			return fmt.Errorf("graphsyn: detached node %d has non-positive count", i)
 		}
 	}
-	for k, e := range s.edges {
-		if k[0] != e.From || k[1] != e.To {
-			//lint:allow maporder any inconsistent edge fails validation; which one the error names is diagnostic only
-			return fmt.Errorf("graphsyn: detached edge key %v holds edge %d->%d", k, e.From, e.To)
-		}
-		if e.From < 0 || int(e.From) >= len(s.nodes) || e.To < 0 || int(e.To) >= len(s.nodes) {
-			//lint:allow maporder any inconsistent edge fails validation; which one the error names is diagnostic only
-			return fmt.Errorf("graphsyn: detached edge %d->%d references missing node", e.From, e.To)
-		}
+	if err := s.validateAdjacency(); err != nil {
+		return err
+	}
+	for _, e := range s.Edges() {
 		cf, ct := s.nodes[e.From].Count(), s.nodes[e.To].Count()
 		if e.ChildCount < 1 || e.ChildCount > ct || e.ParentCount < 1 || e.ParentCount > cf {
-			//lint:allow maporder any inconsistent edge fails validation; which one the error names is diagnostic only
 			return fmt.Errorf("graphsyn: detached edge %d->%d counts (%d, %d) out of range", e.From, e.To, e.ChildCount, e.ParentCount)
 		}
 		if e.BStable != (e.ChildCount == ct) || e.FStable != (e.ParentCount == cf) {
-			//lint:allow maporder any inconsistent edge fails validation; which one the error names is diagnostic only
 			return fmt.Errorf("graphsyn: detached edge %d->%d stability flags disagree with counts", e.From, e.To)
 		}
 	}
-	return s.validateAdjacency()
+	return nil
 }

@@ -12,4 +12,8 @@
 // extents; the *stored* summary that the size model charges for consists
 // only of node tags, extent counts and per-edge stability bits, as in the
 // paper.
+//
+// Synopses are copy-on-write: Clone is O(1), and a split copies only the
+// nodes and assignment pages it changes, so XBUILD's many candidate clones
+// share almost all of one synopsis.
 package graphsyn

@@ -29,7 +29,7 @@ func DefaultSizeModel() SizeModel {
 // StructureBytes returns the stored size of the structural summary (nodes +
 // edges) under the model.
 func (m SizeModel) StructureBytes(s *Synopsis) int {
-	return len(s.nodes)*m.NodeBytes + len(s.edges)*m.EdgeBytes
+	return len(s.nodes)*m.NodeBytes + s.numEdges*m.EdgeBytes
 }
 
 // BucketBytes returns the stored size of one histogram bucket with the

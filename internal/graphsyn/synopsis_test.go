@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,8 +144,9 @@ func TestBStabilizeSplit(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate after split: %v", err)
 	}
-	if T.Count() != 4 || s.Node(newID).Count() != 1 {
-		t.Fatalf("split sizes = %d, %d", T.Count(), s.Node(newID).Count())
+	// Split replaces the nodes it changes, so T is re-read by ID.
+	if s.Node(T.ID).Count() != 4 || s.Node(newID).Count() != 1 {
+		t.Fatalf("split sizes = %d, %d", s.Node(T.ID).Count(), s.Node(newID).Count())
 	}
 	e := s.Edge(P.ID, T.ID)
 	if e == nil || !e.BStable {
@@ -173,8 +175,9 @@ func TestFStabilizeSplit(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate after split: %v", err)
 	}
-	if A.Count() != 1 || s.Node(newID).Count() != 2 {
-		t.Fatalf("split sizes = %d, %d", A.Count(), s.Node(newID).Count())
+	// Split replaces the nodes it changes, so A is re-read by ID.
+	if s.Node(A.ID).Count() != 1 || s.Node(newID).Count() != 2 {
+		t.Fatalf("split sizes = %d, %d", s.Node(A.ID).Count(), s.Node(newID).Count())
 	}
 	e := s.Edge(A.ID, B.ID)
 	if e == nil || !e.FStable {
@@ -499,5 +502,60 @@ func TestBStabilizeMakesEdgeStable(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloneCopyOnWrite: a clone shares the original's nodes and
+// assignment pages until either side splits, and a split on either side
+// never shows through to the other, in both directions.
+func TestCloneCopyOnWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := randomDoc(rng, 5000)
+	base := LabelSplit(d)
+	snapshot := func(s *Synopsis) (string, []NodeID) {
+		var edges []Edge
+		for _, e := range s.Edges() {
+			edges = append(edges, *e)
+		}
+		return fmt.Sprint(edges), s.Assignment()
+	}
+	baseEdges, baseAssign := snapshot(base)
+	c := base.Clone()
+	if c.Node(0) != base.Node(0) {
+		t.Fatal("clone copied a node it did not change")
+	}
+	splits := 0
+	for _, e := range c.Edges() {
+		if !e.BStable {
+			if _, ok := c.BStabilize(e.From, e.To); ok {
+				splits++
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no split on the clone")
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("clone after splits: %v", err)
+	}
+	if edges, assign := snapshot(base); edges != baseEdges || !slices.Equal(assign, baseAssign) {
+		t.Fatal("splitting the clone changed the original")
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("original after the clone's splits: %v", err)
+	}
+	// The other direction: the original splits, an earlier clone stays.
+	c2 := base.Clone()
+	c2Edges, c2Assign := snapshot(c2)
+	for _, e := range base.Edges() {
+		if !e.FStable {
+			base.FStabilize(e.From, e.To)
+		}
+	}
+	if edges, assign := snapshot(c2); edges != c2Edges || !slices.Equal(assign, c2Assign) {
+		t.Fatal("splitting the original changed its clone")
+	}
+	if err := c2.Validate(); err != nil {
+		t.Fatalf("clone after the original's splits: %v", err)
 	}
 }

@@ -400,3 +400,46 @@ func TestSelectivityOverflowedSpan(t *testing.T) {
 		t.Fatalf("Selectivity over overflowed span = %v, want a finite fraction", got)
 	}
 }
+
+// TestSparsePackedKeysMatchReference feeds random points whose
+// coordinates grow (widening the packed fields), exceed 64 packed bits or
+// go negative (switching to byte-string keys) and compares the result
+// with a plain map, Float64bits.
+func TestSparsePackedKeysMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		dims := rng.Intn(7)
+		limit := int32(1) << uint(rng.Intn(31))
+		s := NewSparse(dims)
+		ref := map[[6]int32]float64{}
+		total := 0.0
+		for i := 0; i < 300; i++ {
+			var key [6]int32
+			coords := make([]int32, dims)
+			for d := range coords {
+				coords[d] = rng.Int31n(limit)
+				if rng.Intn(50) == 0 {
+					coords[d] = -coords[d] - 1
+				}
+				if rng.Intn(3) == 0 {
+					coords[d] = 0
+				}
+				key[d] = coords[d]
+			}
+			w := float64(1 + rng.Intn(3))
+			s.Add(coords, w)
+			ref[key] += w
+			total += w
+		}
+		if s.Len() != len(ref) || s.Total() != total {
+			t.Fatalf("trial %d: Len %d Total %v, reference %d %v", trial, s.Len(), s.Total(), len(ref), total)
+		}
+		for _, p := range s.Points() {
+			var key [6]int32
+			copy(key[:], p.Coords)
+			if math.Float64bits(p.Freq) != math.Float64bits(ref[key]) {
+				t.Fatalf("trial %d: point %v freq %v, reference %v", trial, p.Coords, p.Freq, ref[key])
+			}
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // DetachedMutate flags calls to sketch mutation entry points that panic on
 // detached sketches — RebuildNode, RebuildAll, AddValueDim, SetBuckets,
-// AddScopeEdge — in code reachable from catalog-served paths (the serve
+// SetValueBuckets, AddScopeEdge — in code reachable from catalog-served paths (the serve
 // and catalog packages and the xserve binary, per the analyzer targets).
 // Sketches loaded from a catalog are detached: they estimate perfectly
 // well but carry no document extents, so the rebuild entry points reject
@@ -28,11 +28,12 @@ var DetachedMutate = &analysis.Analyzer{
 // detachedPanicking lists the xsketch.Sketch methods that panic when the
 // receiver is detached (see sketch.go, valuedim.go).
 var detachedPanicking = map[string]bool{
-	"RebuildNode":  true,
-	"RebuildAll":   true,
-	"AddValueDim":  true,
-	"SetBuckets":   true,
-	"AddScopeEdge": true,
+	"RebuildNode":     true,
+	"RebuildAll":      true,
+	"AddValueDim":     true,
+	"SetBuckets":      true,
+	"SetValueBuckets": true,
+	"AddScopeEdge":    true,
 }
 
 func runDetachedMutate(pass *analysis.Pass) (interface{}, error) {

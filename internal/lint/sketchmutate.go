@@ -12,9 +12,11 @@ import (
 // outside the approved mutator set. PR 2 introduced an atomic-pointer
 // estimator cache that RebuildNode/RebuildAll invalidate; a field write that
 // bypasses that funnel leaves the cache serving estimates for a synopsis
-// that no longer exists. The approved mutators are the constructors and the
-// rebuild funnel in package xsketch, plus the two refinement-application
-// helpers in package build (which finish by calling RebuildNode).
+// that no longer exists. Clones also share summaries, so a write to a
+// summary the writer did not first copy (ownSummary) leaks into every
+// clone. The approved mutators are the constructors and the rebuild funnel
+// in package xsketch, plus the two refinement-application helpers in
+// package build (which finish by calling RebuildNode).
 var SketchMutate = &analysis.Analyzer{
 	Name: "sketchmutate",
 	Doc:  "flags Sketch/NodeSummary/histogram state writes outside the approved mutator set",
@@ -25,16 +27,19 @@ var SketchMutate = &analysis.Analyzer{
 // sketch state directly. Everything else must go through these.
 var approvedMutators = map[string]map[string]bool{
 	"xsketch": {
-		"New":               true,
-		"FromSynopsis":      true,
-		"Clone":             true,
-		"Load":              true,
-		"RebuildAll":        true,
-		"RebuildNode":       true,
-		"rebuildHistograms": true,
-		"AddValueDim":       true,
-		"SetBuckets":        true,
-		"AddScopeEdge":      true,
+		"New":                 true,
+		"FromSynopsis":        true,
+		"Clone":               true,
+		"Load":                true,
+		"RebuildAll":          true,
+		"RebuildNode":         true,
+		"rebuildHistograms":   true,
+		"rebuildValueSummary": true,
+		"ownSummary":          true,
+		"SetValueBuckets":     true,
+		"AddValueDim":         true,
+		"SetBuckets":          true,
+		"AddScopeEdge":        true,
 	},
 	"build": {
 		"apply":          true,

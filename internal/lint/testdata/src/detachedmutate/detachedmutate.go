@@ -6,10 +6,11 @@ package detachedmutate
 import "xsketch"
 
 func unguarded(sk *xsketch.Sketch) {
-	sk.RebuildAll()         // want "sk.RebuildAll panics on a detached"
-	sk.RebuildNode(1)       // want "sk.RebuildNode panics on a detached"
-	sk.SetBuckets(1, 8)     // want "sk.SetBuckets panics on a detached"
-	sk.AddValueDim(1, 2, 4) // want "sk.AddValueDim panics on a detached"
+	sk.RebuildAll()          // want "sk.RebuildAll panics on a detached"
+	sk.RebuildNode(1)        // want "sk.RebuildNode panics on a detached"
+	sk.SetBuckets(1, 8)      // want "sk.SetBuckets panics on a detached"
+	sk.SetValueBuckets(1, 8) // want "sk.SetValueBuckets panics on a detached"
+	sk.AddValueDim(1, 2, 4)  // want "sk.AddValueDim panics on a detached"
 }
 
 func guardedBranch(sk *xsketch.Sketch) {

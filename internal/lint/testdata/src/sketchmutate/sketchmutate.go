@@ -7,8 +7,9 @@ import "histogram"
 
 // NodeSummary mirrors the real per-node summary state.
 type NodeSummary struct {
-	Buckets int
-	Scope   []int
+	Buckets      int
+	ValueBuckets int
+	Scope        []int
 }
 
 // Sketch mirrors the real sketch: summaries keyed by node.
@@ -36,6 +37,34 @@ func (sk *Sketch) RebuildNode(id int) {
 func (sk *Sketch) SetBuckets(id, n int) {
 	sk.Summaries[id].Buckets = n
 	sk.RebuildNode(id)
+}
+
+// ownSummary is approved: it installs a private copy for the caller to
+// write, so clones sharing the old summary never see the write.
+func (sk *Sketch) ownSummary(id int) *NodeSummary {
+	c := *sk.Summaries[id]
+	sk.Summaries[id] = &c
+	return &c
+}
+
+// SetValueBuckets is approved: it writes its own copy, then rebuilds the
+// value summary.
+func (sk *Sketch) SetValueBuckets(id, n int) {
+	s := sk.ownSummary(id)
+	s.ValueBuckets = n
+	sk.rebuildValueSummary(s)
+}
+
+// rebuildValueSummary is the approved value-summary half of the rebuild
+// funnel.
+func (sk *Sketch) rebuildValueSummary(s *NodeSummary) {
+	s.ValueBuckets++
+}
+
+// writeShared writes a summary it did not copy: a clone sharing it would
+// see the write.
+func (sk *Sketch) writeShared(id int) {
+	sk.Summaries[id].ValueBuckets = 2 // want "write to NodeSummary.ValueBuckets outside approved mutators"
 }
 
 // Tweak bypasses the funnel from an unapproved function.

@@ -22,6 +22,9 @@ func (sk *Sketch) RebuildAll() {}
 // SetBuckets mirrors the real detached-panicking mutator.
 func (sk *Sketch) SetBuckets(id, n int) bool { return true }
 
+// SetValueBuckets mirrors the real detached-panicking mutator.
+func (sk *Sketch) SetValueBuckets(id, n int) bool { return true }
+
 // AddValueDim mirrors the real detached-panicking mutator.
 func (sk *Sketch) AddValueDim(a, b, n int) bool { return true }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 
 	"xsketch/internal/eval"
 	"xsketch/internal/pathexpr"
@@ -201,33 +202,55 @@ type generator struct {
 	anchorTags   []xmltree.TagID
 	anchorsByTag map[xmltree.TagID][]xmltree.NodeID
 	// childTags[tag] records which child tags occur under parents of the
-	// given tag, for negative-query construction.
+	// given tag, for negative-query construction (nil for other kinds).
 	childTags map[xmltree.TagID]map[xmltree.TagID]bool
 	// stepWitness maps each step of the query under construction to the
 	// document element it was sampled from; value predicates are centered
 	// on witness values so queries stay positive.
 	stepWitness map[*pathexpr.Step]xmltree.NodeID
+	// domains memoizes xmltree.ValueDomain per tag: each lookup scans the
+	// whole document.
+	domains map[xmltree.TagID][2]int64
 }
 
+// prepare gathers the eligible twig roots: every internal non-root
+// element, or only the internal ones among Anchors. Anchored workloads
+// visit a sorted, deduplicated copy of the anchors, so they cost time in
+// the anchor set rather than the document and depend only on the set.
+// The document-wide child-tag table is built for negative workloads
+// only, its one reader.
 func (g *generator) prepare() {
 	d := g.doc
-	restricted := make(map[xmltree.NodeID]bool, len(g.cfg.Anchors))
-	for _, a := range g.cfg.Anchors {
-		restricted[a] = true
+	g.anchorsByTag = make(map[xmltree.TagID][]xmltree.NodeID)
+	addAnchor := func(id xmltree.NodeID) {
+		n := d.Node(id)
+		if len(n.Children) == 0 || id == d.Root() {
+			return
+		}
+		if len(g.anchorsByTag[n.Tag]) == 0 {
+			g.anchorTags = append(g.anchorTags, n.Tag)
+		}
+		g.anchorsByTag[n.Tag] = append(g.anchorsByTag[n.Tag], id)
+	}
+	if len(g.cfg.Anchors) > 0 {
+		anchors := slices.Clone(g.cfg.Anchors)
+		slices.Sort(anchors)
+		for _, id := range slices.Compact(anchors) {
+			addAnchor(id)
+		}
+	} else {
+		for i := 0; i < d.Len(); i++ {
+			addAnchor(xmltree.NodeID(i))
+		}
+	}
+	if g.cfg.Kind != KindNegative {
+		return
 	}
 	g.childTags = make(map[xmltree.TagID]map[xmltree.TagID]bool)
-	g.anchorsByTag = make(map[xmltree.TagID][]xmltree.NodeID)
 	for i := 0; i < d.Len(); i++ {
-		id := xmltree.NodeID(i)
-		n := d.Node(id)
+		n := d.Node(xmltree.NodeID(i))
 		if len(n.Children) == 0 {
 			continue
-		}
-		if id != d.Root() && (len(restricted) == 0 || restricted[id]) {
-			if len(g.anchorsByTag[n.Tag]) == 0 {
-				g.anchorTags = append(g.anchorTags, n.Tag)
-			}
-			g.anchorsByTag[n.Tag] = append(g.anchorsByTag[n.Tag], id)
 		}
 		m := g.childTags[n.Tag]
 		if m == nil {
@@ -498,7 +521,7 @@ func (g *generator) attachValuePreds(q *twig.Query) {
 		ci := g.rng.Intn(len(cands))
 		c := cands[ci]
 		cands = append(cands[:ci], cands[ci+1:]...)
-		lo, hi, _ := xmltree.ValueDomain(d, c.tag)
+		lo, hi := g.valueDomain(c.tag)
 		width := (hi - lo + 1) / 10
 		if width < 1 {
 			width = 1
@@ -517,6 +540,20 @@ func (g *generator) attachValuePreds(q *twig.Query) {
 		}
 		c.step.Value = &pathexpr.ValuePred{Lo: start, Hi: end}
 	}
+}
+
+// valueDomain returns xmltree.ValueDomain's [lo, hi] for tag, computed
+// once per generator.
+func (g *generator) valueDomain(tag xmltree.TagID) (lo, hi int64) {
+	dom, ok := g.domains[tag]
+	if !ok {
+		if g.domains == nil {
+			g.domains = make(map[xmltree.TagID][2]int64)
+		}
+		dom[0], dom[1], _ = xmltree.ValueDomain(g.doc, tag)
+		g.domains[tag] = dom
+	}
+	return dom[0], dom[1]
 }
 
 // negativeQuery builds a structurally plausible query with zero

@@ -94,6 +94,7 @@ func (sk *Sketch) embeddingsTraced(q *twig.Query, rec *trace.Recorder) ([]*Embed
 		return nil, false
 	}
 	rootSyn := sk.Syn.NodeOf(sk.Syn.Doc.Root())
+	sk.readStructure(rootSyn)
 	bud := &embedBudget{left: sk.Cfg.MaxEmbeddings, rec: rec}
 	if bud.left <= 0 {
 		bud.left = 1 << 30
@@ -370,6 +371,7 @@ func (sk *Sketch) expandStepUncached(ctx graphsyn.NodeID, step *pathexpr.Step) [
 	var out [][]graphsyn.NodeID
 	switch step.Axis {
 	case pathexpr.Child:
+		sk.readStructure(ctx)
 		for _, c := range sk.Syn.Node(ctx).Children {
 			if sk.Syn.Node(c).Tag == tag {
 				out = append(out, []graphsyn.NodeID{c})
@@ -387,6 +389,7 @@ func (sk *Sketch) expandStepUncached(ctx graphsyn.NodeID, step *pathexpr.Step) [
 			if len(path) >= maxLen {
 				return
 			}
+			sk.readStructure(cur)
 			for _, c := range sk.Syn.Node(cur).Children {
 				if onPath[c] {
 					continue

@@ -58,6 +58,7 @@ func newEstimator(sk *Sketch, em *Embedding) *estimator {
 // scan adds to condSet every scope edge that a node of the subtree at n
 // conditions on as a backward count.
 func (e *estimator) scan(n *EmbNode) {
+	e.sk.readSummary(n.Syn)
 	if s := e.sk.Summaries[n.Syn]; s != nil {
 		for _, se := range s.Scope {
 			if se.From != n.Syn {
@@ -110,6 +111,7 @@ type coveredChild struct {
 func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool, tn *trace.Node) float64 {
 	first := tn.Enter()
 	sk := e.sk
+	sk.readSummary(n.Syn)
 	s := sk.Summaries[n.Syn]
 	var scope []ScopeEdge
 	var vdims []*ValueDim
@@ -393,6 +395,7 @@ func (e *estimator) branchValueUse(s *NodeSummary, scope []ScopeEdge, vdims []*V
 	}
 	var target graphsyn.NodeID = -1
 	matches := 0
+	e.sk.readStructure(n.Syn)
 	for _, c := range e.sk.Syn.Node(n.Syn).Children {
 		if e.sk.Syn.Node(c).Tag == tag {
 			matches++
@@ -437,6 +440,8 @@ func (sk *Sketch) valueFraction(id graphsyn.NodeID, pred *pathexpr.ValuePred) fl
 	if pred == nil {
 		return 1
 	}
+	sk.readSummary(id)
+	sk.readStructure(id)
 	s := sk.Summaries[id]
 	if s == nil || s.VHist == nil || s.VHist.Total() == 0 {
 		return 0
@@ -492,6 +497,7 @@ func (sk *Sketch) existsFractionUncached(id graphsyn.NodeID, steps []*pathexpr.S
 		// Exact shortcut: a direct F-stable edge with certain satisfaction
 		// guarantees existence for every element.
 		if len(seq) == 1 && q == 1 {
+			sk.readStructure(id)
 			if edge := sk.Syn.Edge(id, target); edge != nil && edge.FStable {
 				return 1, clean
 			}
@@ -521,6 +527,7 @@ func (sk *Sketch) avgCount(u, v graphsyn.NodeID) float64 {
 // avgCountOutcome is avgCount plus the estimator-cache outcome of the
 // underlying edge-count lookup, for trace terms.
 func (sk *Sketch) avgCountOutcome(u, v graphsyn.NodeID) (float64, string) {
+	sk.readStructure(u)
 	cu := float64(sk.Syn.Node(u).Count())
 	if cu == 0 {
 		return 0, trace.CacheOff
@@ -533,10 +540,12 @@ func (sk *Sketch) avgCountOutcome(u, v graphsyn.NodeID) (float64, string) {
 // whose parent lies in u. estEdgeCount in estcache.go is the memoized
 // entry point.
 func (sk *Sketch) estEdgeCountUncached(u, v graphsyn.NodeID) float64 {
+	sk.readStructure(u)
 	edge := sk.Syn.Edge(u, v)
 	if edge == nil {
 		return 0
 	}
+	sk.readStructure(v)
 	if sk.Cfg.StoreEdgeCounts {
 		return float64(edge.ChildCount)
 	}
@@ -546,6 +555,7 @@ func (sk *Sketch) estEdgeCountUncached(u, v graphsyn.NodeID) float64 {
 	}
 	var parentTotal float64
 	for _, p := range nv.Parents {
+		sk.readStructure(p)
 		parentTotal += float64(sk.Syn.Node(p).Count())
 	}
 	if parentTotal == 0 {

@@ -2,6 +2,7 @@ package xsketch
 
 import (
 	"fmt"
+	"slices"
 
 	"xsketch/internal/graphsyn"
 	"xsketch/internal/histogram"
@@ -47,6 +48,12 @@ type NodeSummary struct {
 	// (maintained on rebuild; used by construction to find value-expand
 	// candidates).
 	ValuedCount int
+	// valueExtent and valueBudget are the extent and ValueBuckets that
+	// VHist and ValuedCount were computed from; a rebuild over the same
+	// extent and budget keeps them (extents are immutable, so slice
+	// identity is element-set identity).
+	valueExtent []xmltree.NodeID
+	valueBudget int
 }
 
 // Config controls synopsis construction and estimation behaviour.
@@ -120,6 +127,14 @@ type Sketch struct {
 	// Like est, its zero value is ready, keeping the struct-literal
 	// constructors valid; clones start with an empty plan cache.
 	plans planHandle
+
+	// valueDims memoizes value dimensions across clones (valuedim.go);
+	// nil for sketches that never add one, which then compute directly.
+	valueDims *valueDimMemo
+
+	// reads, when non-nil, collects the nodes estimation reads; only the
+	// private views of EstimateReads set it (reads.go).
+	reads *Reads
 }
 
 // New builds the coarsest Twig XSKETCH for a document: the label split
@@ -131,6 +146,7 @@ func New(d *xmltree.Document, cfg Config) *Sketch {
 		Syn:       graphsyn.LabelSplit(d),
 		Summaries: make(map[graphsyn.NodeID]*NodeSummary),
 		Cfg:       cfg,
+		valueDims: newValueDimMemo(),
 	}
 	sk.RebuildAll()
 	return sk
@@ -139,27 +155,42 @@ func New(d *xmltree.Document, cfg Config) *Sketch {
 // FromSynopsis wraps an existing graph synopsis (used by the construction
 // algorithm after structural refinements and by tests).
 func FromSynopsis(s *graphsyn.Synopsis, cfg Config) *Sketch {
-	sk := &Sketch{Syn: s, Summaries: make(map[graphsyn.NodeID]*NodeSummary), Cfg: cfg}
+	sk := &Sketch{Syn: s, Summaries: make(map[graphsyn.NodeID]*NodeSummary), Cfg: cfg, valueDims: newValueDimMemo()}
 	sk.RebuildAll()
 	return sk
 }
 
-// Clone returns a deep copy. Histograms are immutable and shared.
+// Clone returns an independent copy that shares everything it can with
+// sk: the synopsis (graphsyn's copy-on-write Clone), every NodeSummary
+// and every histogram. Summaries are copy-on-write too: every mutator
+// (RebuildNode, SetBuckets, SetValueBuckets, AddScopeEdge, AddValueDim)
+// installs a fresh summary instead of writing the shared one, so a clone
+// costs one map of pointers and mutating either side never shows
+// through to the other.
 func (sk *Sketch) Clone() *Sketch {
 	c := &Sketch{
 		Syn:       sk.Syn.Clone(),
 		Summaries: make(map[graphsyn.NodeID]*NodeSummary, len(sk.Summaries)),
 		Cfg:       sk.Cfg,
+		valueDims: sk.valueDims,
 	}
 	for id, s := range sk.Summaries {
-		cs := *s
-		cs.Scope = append([]ScopeEdge(nil), s.Scope...)
-		cs.ExtraScope = append([]ScopeEdge(nil), s.ExtraScope...)
-		// ValueDims are immutable after construction; sharing them is safe.
-		cs.ValueDims = append([]*ValueDim(nil), s.ValueDims...)
-		c.Summaries[id] = &cs
+		c.Summaries[id] = s
 	}
 	return c
+}
+
+// ownSummary replaces node id's summary with a private copy and returns
+// it, or returns nil when the node has none. Mutators write only such
+// copies, never a summary a clone may share.
+func (sk *Sketch) ownSummary(id graphsyn.NodeID) *NodeSummary {
+	s := sk.Summaries[id]
+	if s == nil {
+		return nil
+	}
+	c := *s
+	sk.Summaries[id] = &c
+	return &c
 }
 
 // RebuildAll recomputes every node's scope and histograms from the current
@@ -188,7 +219,7 @@ func (sk *Sketch) RebuildNode(id graphsyn.NodeID) {
 		panic("xsketch: cannot rebuild a detached sketch (loaded without its document)")
 	}
 	sk.InvalidateEstimatorCache()
-	s := sk.Summaries[id]
+	s := sk.ownSummary(id)
 	if s == nil {
 		s = &NodeSummary{
 			Buckets:      sk.Cfg.InitialEdgeBuckets,
@@ -221,7 +252,7 @@ func (sk *Sketch) RebuildNode(id graphsyn.NodeID) {
 // set NodeSummary.Buckets directly (the sketchmutate analyzer enforces
 // this): a bare field write leaves the histogram and cache stale.
 func (sk *Sketch) SetBuckets(id graphsyn.NodeID, buckets int) bool {
-	s := sk.Summaries[id]
+	s := sk.ownSummary(id)
 	if s == nil {
 		return false
 	}
@@ -230,16 +261,33 @@ func (sk *Sketch) SetBuckets(id graphsyn.NodeID, buckets int) bool {
 	return true
 }
 
+// SetValueBuckets changes a node's value-summary unit budget and rebuilds
+// its value summary, reporting whether the node has a summary. Only the
+// value summary reads that budget, so the edge histogram is kept as is.
+func (sk *Sketch) SetValueBuckets(id graphsyn.NodeID, units int) bool {
+	if sk.Syn.Detached() {
+		panic("xsketch: cannot rebuild a detached sketch (loaded without its document)")
+	}
+	s := sk.ownSummary(id)
+	if s == nil {
+		return false
+	}
+	sk.InvalidateEstimatorCache()
+	s.ValueBuckets = units
+	sk.rebuildValueSummary(id, s)
+	return true
+}
+
 // AddScopeEdge appends an extra scope edge to a node's summary and rebuilds
 // the node, reporting whether the edge survived scope validation. Like
 // SetBuckets, this is the approved route: appending to ExtraScope directly
 // bypasses histogram rebuild and cache invalidation.
 func (sk *Sketch) AddScopeEdge(id graphsyn.NodeID, e ScopeEdge) bool {
-	s := sk.Summaries[id]
+	s := sk.ownSummary(id)
 	if s == nil {
 		return false
 	}
-	s.ExtraScope = append(s.ExtraScope, e)
+	s.ExtraScope = append(slices.Clip(s.ExtraScope), e)
 	sk.RebuildNode(id)
 	for _, kept := range sk.Summaries[id].ExtraScope {
 		if kept == e {
@@ -271,8 +319,9 @@ func (sk *Sketch) scopeEdgeValid(id graphsyn.NodeID, e ScopeEdge) bool {
 	return sk.Syn.InTSN(id, e.From, e.To)
 }
 
-// rebuildHistograms recomputes the edge and value histograms of a node from
-// its extent under the current scope, value dimensions and budgets.
+// rebuildHistograms recomputes the edge histogram of a node from its
+// extent under the current scope, value dimensions and budget, and its
+// value summary unless that summary's inputs are unchanged.
 func (sk *Sketch) rebuildHistograms(id graphsyn.NodeID, s *NodeSummary) {
 	sparse, err := sk.jointDistribution(id, s.Scope, s.ValueDims)
 	if err != nil {
@@ -283,11 +332,23 @@ func (sk *Sketch) rebuildHistograms(id graphsyn.NodeID, s *NodeSummary) {
 		sparse, _ = sk.jointDistribution(id, nil, nil)
 	}
 	s.Hist = histogram.Compress(sparse, s.Buckets)
+	sk.rebuildValueSummary(id, s)
+}
 
+// rebuildValueSummary recomputes the value summary and ValuedCount of a
+// node, unless they were computed from the same extent and budget. They
+// read nothing else: not the scope, and not the node's neighbors.
+func (sk *Sketch) rebuildValueSummary(id graphsyn.NodeID, s *NodeSummary) {
+	extent := sk.Syn.Node(id).Extent
+	if s.valueBudget == s.ValueBuckets && len(s.valueExtent) == len(extent) &&
+		len(extent) > 0 && &s.valueExtent[0] == &extent[0] {
+		return
+	}
+	s.valueExtent, s.valueBudget = extent, s.ValueBuckets
 	s.VHist = nil
 	var vals []int64
 	d := sk.Syn.Doc
-	for _, e := range sk.Syn.Node(id).Extent {
+	for _, e := range extent {
 		if n := d.Node(e); n.HasValue {
 			vals = append(vals, n.Value)
 		}
@@ -311,54 +372,116 @@ func (sk *Sketch) EdgeDistribution(id graphsyn.NodeID, scope []ScopeEdge) (*hist
 	return sk.jointDistribution(id, scope, nil)
 }
 
+// childSlot says which coordinates a child in one synopsis node feeds:
+// the forward count dimension it is counted in and the index of the value
+// dimension sourced at it, each -1 for none.
+type childSlot struct{ count, value int32 }
+
 // jointDistribution extends EdgeDistribution with value dimensions: each
 // element additionally contributes the bucketized value coordinates of the
 // given ValueDims (0 meaning "no value"), yielding the paper's extended
 // histogram H^v over counts and values jointly.
+//
+// Forward counts and child-sourced value coordinates come from one pass
+// over each element's children, looking each child's node up in a table
+// of slots. Backward counts, and dimensions repeating a slot's target or
+// source, take the general per-dimension walk.
 func (sk *Sketch) jointDistribution(id graphsyn.NodeID, scope []ScopeEdge, vdims []*ValueDim) (*histogram.Sparse, error) {
 	n := sk.Syn.Node(id)
 	d := sk.Syn.Doc
-	anc := sk.Syn.BStableAncestors(id)
-	ancDepth := make(map[graphsyn.NodeID]int, len(anc))
-	for depth, a := range anc {
-		ancDepth[a] = depth
+	slots := make([]childSlot, sk.Syn.NumNodes())
+	for i := range slots {
+		slots[i] = childSlot{-1, -1}
 	}
-	type dimSpec struct {
-		depth int // 0 = the node itself
-		to    graphsyn.NodeID
+	inRange := func(x graphsyn.NodeID) bool { return x >= 0 && int(x) < len(slots) }
+	type walkDim struct {
+		dim, depth int // depth 0 = the node itself
+		to         graphsyn.NodeID
 	}
-	specs := make([]dimSpec, len(scope))
+	var walks []walkDim
+	var ancDepth map[graphsyn.NodeID]int
 	for i, e := range scope {
+		if e.From == id {
+			if inRange(e.To) && slots[e.To].count < 0 {
+				slots[e.To].count = int32(i)
+			} else {
+				walks = append(walks, walkDim{dim: i, to: e.To})
+			}
+			continue
+		}
+		if ancDepth == nil {
+			anc := sk.Syn.BStableAncestors(id)
+			ancDepth = make(map[graphsyn.NodeID]int, len(anc))
+			for depth, a := range anc {
+				ancDepth[a] = depth
+			}
+		}
 		depth, ok := ancDepth[e.From]
 		if !ok {
 			return nil, fmt.Errorf("xsketch: scope edge %d->%d not on the B-stable ancestor chain of node %d", e.From, e.To, id)
 		}
-		specs[i] = dimSpec{depth: depth, to: e.To}
+		walks = append(walks, walkDim{dim: i, depth: depth, to: e.To})
 	}
+	var selfVals, otherVals []int
+	for k, vd := range vdims {
+		switch {
+		case vd.Source == id:
+			selfVals = append(selfVals, k)
+		case inRange(vd.Source) && slots[vd.Source].value < 0:
+			slots[vd.Source].value = int32(k)
+		default:
+			otherVals = append(otherVals, k)
+		}
+	}
+	// Without a slot, no dimension reads the children in one pass.
+	slotted := len(scope) > len(walks) || len(vdims) > len(selfVals)+len(otherVals)
 	dims := len(scope) + len(vdims)
 	sparse := histogram.NewSparse(dims)
 	coords := make([]int32, dims)
+	vals := coords[len(scope):]
 	for _, e := range n.Extent {
-		for i, spec := range specs {
+		clear(coords)
+		el := d.Node(e)
+		var children []xmltree.NodeID
+		if slotted {
+			children = el.Children
+		}
+		for _, c := range children {
+			sl := slots[sk.Syn.NodeOf(c)]
+			if sl.count >= 0 {
+				coords[sl.count]++
+			}
+			// A value dimension takes the first valued child in its source.
+			if sl.value >= 0 && vals[sl.value] == 0 {
+				if cn := d.Node(c); cn.HasValue {
+					vals[sl.value] = vdims[sl.value].binOf(cn.Value)
+				}
+			}
+		}
+		for _, w := range walks {
 			anchor := e
-			for k := 0; k < spec.depth; k++ {
+			for k := 0; k < w.depth; k++ {
 				anchor = d.Node(anchor).Parent
 				if anchor == xmltree.NilNode {
 					break
 				}
 			}
-			count := int32(0)
-			if anchor != xmltree.NilNode {
-				for _, c := range d.Node(anchor).Children {
-					if sk.Syn.NodeOf(c) == spec.to {
-						count++
-					}
+			if anchor == xmltree.NilNode {
+				continue
+			}
+			for _, c := range d.Node(anchor).Children {
+				if sk.Syn.NodeOf(c) == w.to {
+					coords[w.dim]++
 				}
 			}
-			coords[i] = count
 		}
-		for k, vd := range vdims {
-			coords[len(scope)+k] = sk.valueCoord(e, id, vd)
+		for _, k := range selfVals {
+			if el.HasValue {
+				vals[k] = vdims[k].binOf(el.Value)
+			}
+		}
+		for _, k := range otherVals {
+			vals[k] = sk.valueCoord(e, id, vdims[k])
 		}
 		sparse.Add(coords, 1)
 	}

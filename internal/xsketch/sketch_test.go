@@ -151,10 +151,11 @@ func TestCloneIndependence(t *testing.T) {
 	c := sk.Clone()
 	paper := synNode(t, sk, "paper")
 	author := synNode(t, sk, "author")
-	cs := c.Summary(paper)
-	cs.ExtraScope = append(cs.ExtraScope, ScopeEdge{author, paper})
-	c.RebuildNode(paper)
-	if len(sk.Summary(paper).Scope) == len(cs.Scope) {
+	// Clones share summaries until a mutator installs a private copy.
+	if !c.AddScopeEdge(paper, ScopeEdge{author, paper}) {
+		t.Fatal("AddScopeEdge on the clone dropped the edge")
+	}
+	if len(sk.Summary(paper).Scope) == len(c.Summary(paper).Scope) {
 		t.Fatal("clone scope change leaked into original")
 	}
 	if err := sk.Validate(); err != nil {

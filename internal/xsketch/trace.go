@@ -53,6 +53,7 @@ func (sk *Sketch) EstimateQueryTraced(ctx context.Context, q *twig.Query, rec *t
 func (sk *Sketch) estimateEmbeddingTraced(em *Embedding, rec *trace.Recorder) float64 {
 	est := newEstimator(sk, em)
 	est.rec = rec
+	sk.readStructure(em.Root.Syn)
 	base := float64(sk.Syn.Node(em.Root.Syn).Count())
 	if rec == nil {
 		return base * est.contrib(em.Root, nil, false, nil)

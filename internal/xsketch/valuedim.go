@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"xsketch/internal/graphsyn"
 	"xsketch/internal/pathexpr"
@@ -96,6 +97,51 @@ func (vd *ValueDim) overlap(coord float64, pred *pathexpr.ValuePred) float64 {
 // value-dimension uses with the identical arithmetic as the interpreter.
 func (vd *ValueDim) Overlap(coord float64, pred *pathexpr.ValuePred) float64 {
 	return vd.overlap(coord, pred)
+}
+
+// valueDimKey identifies one value dimension's inputs: the source node,
+// its extent (by identity: extents are immutable, so the same backing
+// array and length is the same element set) and the bin count.
+type valueDimKey struct {
+	source graphsyn.NodeID
+	first  *xmltree.NodeID
+	n      int
+	bins   int
+}
+
+// valueDimMemo caches newValueDim results for a sketch and all its clones,
+// so value-expand candidates on an unchanged source do not sort its values
+// again at every build step. ValueDims are immutable, so sharing them is
+// safe; the mutex makes the memo safe for clones refined concurrently.
+type valueDimMemo struct {
+	mu sync.Mutex
+	m  map[valueDimKey]*ValueDim
+}
+
+func newValueDimMemo() *valueDimMemo {
+	return &valueDimMemo{m: make(map[valueDimKey]*ValueDim)}
+}
+
+// valueDim returns the memoized value dimension for source with the given
+// bin count, building it on first use. A nil memo builds directly.
+func (sk *Sketch) valueDim(source graphsyn.NodeID, bins int) *ValueDim {
+	m := sk.valueDims
+	extent := sk.Syn.Node(source).Extent
+	if m == nil || len(extent) == 0 {
+		return sk.newValueDim(source, bins)
+	}
+	k := valueDimKey{source: source, first: &extent[0], n: len(extent), bins: bins}
+	m.mu.Lock()
+	vd, ok := m.m[k]
+	m.mu.Unlock()
+	if ok {
+		return vd
+	}
+	vd = sk.newValueDim(source, bins)
+	m.mu.Lock()
+	m.m[k] = vd
+	m.mu.Unlock()
+	return vd
 }
 
 // newValueDim builds a ValueDim with equi-depth bins over the values
@@ -219,11 +265,12 @@ func (sk *Sketch) AddValueDim(id, source graphsyn.NodeID, bins int) bool {
 			return false
 		}
 	}
-	vd := sk.newValueDim(source, bins)
+	vd := sk.valueDim(source, bins)
 	if vd == nil || !sk.valueDimValid(id, vd) {
 		return false
 	}
-	s.ValueDims = append(s.ValueDims, vd)
+	s = sk.ownSummary(id)
+	s.ValueDims = append(slices.Clip(s.ValueDims), vd)
 	sk.RebuildNode(id)
 	// Rebuild may drop an invalid dimension; confirm it survived.
 	for _, kept := range sk.Summaries[id].ValueDims {
