@@ -203,12 +203,12 @@ func BenchmarkPlanCompile(b *testing.B) {
 var benchPlanSink *xsketch.Plan
 
 // planCompileAllocsCeiling bounds the mean allocations of one plan miss
-// over the BenchmarkPlanCompile query set. The allocation-lean compile
-// path measures 42.45 with Go 1.24 (the fmt-rendering compile it replaced
-// made 129.78); the ceiling leaves a little room for runtime differences
-// and fails any return of per-node maps, per-chain clones or fmt
-// renderings.
-const planCompileAllocsCeiling = 45
+// over the BenchmarkPlanCompile query set. The pooled-scratch compile
+// measures 7.00 with Go 1.24 (42.45 before the embedding trees moved into
+// pooled scratch, 129.78 with fmt renderings); the ceiling leaves the
+// same room as planQueryTextMissAllocsCeiling and fails any return of
+// throwaway embedding trees, per-node lists or maps.
+const planCompileAllocsCeiling = 9
 
 // TestPlanCompileAllocs is the allocation gate on plan misses: the mean
 // allocation count of a cache-disabled PlanQuery over the fixed P+V set

@@ -2,6 +2,7 @@ package xsketch_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -222,6 +223,46 @@ func TestRecursiveDatasetEndToEnd(t *testing.T) {
 		}
 		if truth > 50 && (est < truth/4 || est > truth*4) {
 			t.Fatalf("%s: estimate %v far from truth %v", src, est, truth)
+		}
+	}
+}
+
+// TestNonASCIITagsEndToEnd queries elements whose tags are not ASCII:
+// labels are read as UTF-8, so "//café" parses, and its estimate, on the
+// interpreted and the served text path alike, equals internal/eval's
+// exact count on a document whose synopsis is exact for these twigs.
+func TestNonASCIITagsEndToEnd(t *testing.T) {
+	d, err := xmltree.ParseString(`<root><shop><café/><café/></shop><shop><café/><prénom/></shop></root>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := xsketch.New(d, xsketch.DefaultConfig())
+	for _, text := range []string{
+		"t0 in //café",
+		"for t0 in //shop, t1 in t0/café",
+		"t0 in root/shop[prénom]",
+	} {
+		q, err := twig.Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+		want := float64(eval.New(d).Selectivity(q))
+		if want == 0 {
+			t.Fatalf("%s: exact count is 0; the test needs matches", text)
+		}
+		if got := sk.EstimateQuery(q); got != want {
+			t.Errorf("%s: EstimateQuery = %v, exact %v", text, got, want)
+		}
+		p, err := sk.PlanQueryText(text)
+		if err != nil {
+			t.Fatalf("PlanQueryText(%q): %v", text, err)
+		}
+		res, err := sk.EstimatePlanContext(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimate != want {
+			t.Errorf("%s: planned estimate = %v, exact %v", text, res.Estimate, want)
 		}
 	}
 }

@@ -5,19 +5,18 @@ import (
 	"math"
 	"strconv"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse parses the concrete path syntax described in the package comment.
 func Parse(src string) (*Path, error) {
-	p := &parser{src: src}
-	path, err := p.parsePath()
-	if err != nil {
-		return nil, err
+	var t Tally
+	for i := 0; i+1 < len(src); i++ {
+		t.Add(src[i], src[i+1])
 	}
-	if !p.eof() {
-		return nil, p.errorf("unexpected %q", p.rest())
-	}
-	return path, nil
+	var sl Slab
+	sl.Reserve(t, 1)
+	return sl.Parse(src)
 }
 
 // MustParse is Parse but panics on error; intended for tests and constants.
@@ -29,9 +28,119 @@ func MustParse(src string) *Path {
 	return p
 }
 
+// Slab hands out the Paths, Steps, ValuePreds and pointer lists of parsed
+// paths from a few shared arrays, sized by Reserve from a Tally of the
+// text to be parsed, so one parse costs a handful of allocations
+// rather than several per step. When a reservation runs short the slab
+// takes a fresh array; elements already handed out stay valid. The parsed
+// paths own the arrays: a slab is not reused, and is not safe for
+// concurrent use.
+type Slab struct {
+	paths    []Path
+	steps    []Step
+	values   []ValuePred
+	stepPtrs []*Step
+	branches []*Path
+}
+
+// Tally counts what parsing a text takes from a slab, fed one byte at a
+// time so a caller scanning the text for its own reasons counts in the
+// same pass. The counts are exact for well-formed text whose first root
+// path starts with a label and whose other roots start with a slash, and
+// one step over otherwise.
+type Tally struct {
+	branches, steps, values int
+}
+
+// Add tallies byte c of a text, followed by next (0 at the end). It is
+// small enough to inline into the caller's scan.
+func (t *Tally) Add(c, next byte) {
+	switch c {
+	case '/', '[':
+		t.open(c, next)
+	case '<', '>', '=':
+		if next != '=' || c == '=' {
+			t.values++ // a comparison; "<=" and ">=" count once
+		}
+	}
+}
+
+// open tallies a separator or opening bracket c followed by next.
+func (t *Tally) open(c, next byte) {
+	if !isDelim(next) {
+		t.steps++ // a label starts after a separator or bracket
+	}
+	if c == '[' && next != '=' && next != '<' && next != '>' && next != ']' {
+		t.branches++ // a branch predicate
+	}
+}
+
+// Reserve sizes the slab for parsing a text holding roots top-level path
+// expressions, tallied by t.
+func (sl *Slab) Reserve(t Tally, roots int) {
+	sl.paths = make([]Path, 0, roots+t.branches)
+	sl.steps = make([]Step, 0, t.steps+1)
+	sl.stepPtrs = make([]*Step, 0, t.steps+1)
+	if t.values > 0 {
+		sl.values = make([]ValuePred, 0, t.values)
+	}
+	if t.branches > 0 {
+		sl.branches = make([]*Path, 0, t.branches)
+	}
+}
+
+// isDelim reports whether c cannot start a step label.
+func isDelim(c byte) bool {
+	switch c {
+	case '/', '[', ']', '=', '<', '>', ':', ',', ' ':
+		return true
+	}
+	return false
+}
+
+// Parse parses src like the package-level Parse, taking the result's
+// memory from the slab.
+func (sl *Slab) Parse(src string) (*Path, error) {
+	// The parser works on a copy of the slab's slices, which keeps the
+	// slab itself off the heap.
+	p := &parser{src: src, sl: *sl}
+	path, err := p.parsePath()
+	*sl = p.sl
+	if err != nil {
+		return nil, err
+	}
+	if !p.eof() {
+		return nil, p.errorf("unexpected %q", p.rest())
+	}
+	return path, nil
+}
+
+// take returns a pointer to a fresh element of *chunk, replacing the chunk
+// with a larger one when it is full.
+func take[T any](chunk *[]T) *T {
+	if len(*chunk) == cap(*chunk) {
+		*chunk = make([]T, 0, max(2*cap(*chunk), 4))
+	}
+	*chunk = (*chunk)[:len(*chunk)+1]
+	return &(*chunk)[len(*chunk)-1]
+}
+
+// carve returns a copy of elems in fresh memory from *chunk, replacing the
+// chunk with a larger one when it lacks room.
+func carve[T any](chunk *[]T, elems []T) []T {
+	c := *chunk
+	if cap(c)-len(c) < len(elems) {
+		c = make([]T, 0, max(2*cap(c), len(elems)))
+	}
+	out := append(c[len(c):len(c):len(c)+len(elems)], elems...)
+	*chunk = c[:len(c)+len(elems)]
+	return out
+}
+
 type parser struct {
 	src string
 	pos int
+	sl  Slab
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
@@ -58,8 +167,11 @@ func (p *parser) accept(c byte) bool {
 }
 
 // parsePath parses a (possibly relative) path: [/ | //] step (/ | // step)*
+// The steps are gathered on the stack and copied into the slab at the
+// end, since nested branch paths take slab memory in between.
 func (p *parser) parsePath() (*Path, error) {
-	path := &Path{}
+	var buf [8]*Step
+	steps := buf[:0]
 	axis := Child
 	if p.accept('/') {
 		if p.accept('/') {
@@ -71,7 +183,7 @@ func (p *parser) parsePath() (*Path, error) {
 		if err != nil {
 			return nil, err
 		}
-		path.Steps = append(path.Steps, step)
+		steps = append(steps, step)
 		if !p.accept('/') {
 			break
 		}
@@ -80,6 +192,8 @@ func (p *parser) parsePath() (*Path, error) {
 			axis = Descendant
 		}
 	}
+	path := take(&p.sl.paths)
+	path.Steps = carve(&p.sl.stepPtrs, steps)
 	return path, nil
 }
 
@@ -88,69 +202,98 @@ func (p *parser) parseStep(axis Axis) (*Step, error) {
 	if label == "" {
 		return nil, p.errorf("expected element label")
 	}
-	step := &Step{Axis: axis, Label: label}
+	step := take(&p.sl.steps)
+	step.Axis, step.Label = axis, label
+	var buf [4]*Path
+	branches := buf[:0]
 	for p.accept('[') {
-		if err := p.parseBracket(step); err != nil {
+		br, err := p.parseBracket(step)
+		if err != nil {
 			return nil, err
+		}
+		if br != nil {
+			branches = append(branches, br)
 		}
 		if !p.accept(']') {
 			return nil, p.errorf("expected ']'")
 		}
 	}
+	if len(branches) > 0 {
+		step.Branches = carve(&p.sl.branches, branches)
+	}
 	return step, nil
 }
 
+// parseLabel consumes the longest run of label runes: letters, digits and
+// "_-@.", decoded as UTF-8. An invalid UTF-8 byte ends the label.
 func (p *parser) parseLabel() string {
-	start := p.pos
-	for !p.eof() {
-		c := rune(p.src[p.pos])
-		if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '-' || c == '@' || c == '.' {
-			p.pos++
+	src, i := p.src, p.pos
+	for i < len(src) {
+		if c := src[i]; c < utf8.RuneSelf {
+			if !labelASCII[c] {
+				break
+			}
+			i++
 			continue
 		}
-		break
+		r, size := utf8.DecodeRuneInString(src[i:])
+		if r == utf8.RuneError && size == 1 || !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
+		}
+		i += size
 	}
-	return p.src[start:p.pos]
+	label := src[p.pos:i]
+	p.pos = i
+	return label
 }
 
-// parseBracket parses the content of one [...] predicate onto step.
-func (p *parser) parseBracket(step *Step) error {
+// labelASCII marks the ASCII label runes.
+var labelASCII = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		r := rune(c)
+		t[c] = unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '@' || r == '.'
+	}
+	return t
+}()
+
+// parseBracket parses the content of one [...] predicate onto step,
+// returning the branch path it holds, or nil for a value predicate.
+func (p *parser) parseBracket(step *Step) (*Path, error) {
 	c := p.peek()
 	if c == '>' || c == '<' || c == '=' {
 		// Value predicate on the step's own element.
 		v, err := p.parseComparison()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if step.Value != nil {
-			merged := intersect(*step.Value, v)
-			step.Value = &merged
-		} else {
-			step.Value = &v
-		}
-		return nil
+		p.restrict(step, v)
+		return nil, nil
 	}
 	// Branching predicate: a relative path, possibly with a trailing
 	// comparison applied to the final step.
 	branch, err := p.parsePath()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if c := p.peek(); c == '>' || c == '<' || c == '=' {
 		v, err := p.parseComparison()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		last := branch.Steps[len(branch.Steps)-1]
-		if last.Value != nil {
-			merged := intersect(*last.Value, v)
-			last.Value = &merged
-		} else {
-			last.Value = &v
-		}
+		p.restrict(branch.Steps[len(branch.Steps)-1], v)
 	}
-	step.Branches = append(step.Branches, branch)
-	return nil
+	return branch, nil
+}
+
+// restrict applies value predicate v to step, intersecting it with the
+// step's existing predicate.
+func (p *parser) restrict(step *Step, v ValuePred) {
+	if step.Value != nil {
+		*step.Value = intersect(*step.Value, v)
+		return
+	}
+	step.Value = take(&p.sl.values)
+	*step.Value = v
 }
 
 // parseComparison parses >N, >=N, <N, <=N, =N or =N:M (inclusive range).

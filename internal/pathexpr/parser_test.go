@@ -293,3 +293,37 @@ func TestParseErrorMentionsOffset(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestParseLabelUTF8 pins label decoding: non-ASCII letters are label
+// runes, decoded as UTF-8, and a byte that is not valid UTF-8 ends the
+// label (it used to be read as a Latin-1 rune, splitting multi-byte
+// letters and admitting 0xFF as "ÿ").
+func TestParseLabelUTF8(t *testing.T) {
+	for src, label := range map[string]string{
+		"//café":  "café",
+		"über/a":  "über",
+		"名前[>=2]": "名前",
+		"a-b.c_d": "a-b.c_d",
+	} {
+		p, err := Parse(src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+			continue
+		}
+		if got := p.Steps[0].Label; got != label {
+			t.Errorf("Parse(%q) label = %q, want %q", src, got, label)
+		}
+		if p.String() != src {
+			t.Errorf("Parse(%q).String() = %q", src, p.String())
+		}
+	}
+	for src, want := range map[string]string{
+		"//a\xffb":  `pathexpr: at offset 3 of "//a\xffb": unexpected "\xffb"`,
+		"//caf\xc3": `pathexpr: at offset 5 of "//caf\xc3": unexpected "\xc3"`,
+		"\xe9t\xe9": `pathexpr: at offset 0 of "\xe9t\xe9": expected element label`,
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) error = %v, want %s", src, err, want)
+		}
+	}
+}

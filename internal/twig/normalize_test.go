@@ -20,6 +20,9 @@ func TestNormalizeText(t *testing.T) {
 		{"for\tt0 in //a", "for t0 in //a"},
 		{"t0 in //a", "t0 in //a"}, // NBSP is Unicode space
 		{"for t0 in //a, t1 in t0/b", "for t0 in //a, t1 in t0/b"},
+		// Bytes that are not valid UTF-8 are kept as they are.
+		{"t0  in //a\xffb", "t0 in //a\xffb"},
+		{"\tt0 in //caf\xc3 ", "t0 in //caf\xc3"},
 	}
 	for _, c := range cases {
 		if got := NormalizeText(c.in); got != c.want {
@@ -69,6 +72,7 @@ func TestParseWhitespaceForms(t *testing.T) {
 	}
 
 	bad := []string{
+		"t0  in //a\xffb",     // invalid UTF-8, whatever the spacing
 		"for t0 x in //a",     // space inside the variable name
 		"for t0\tx in //a",    // tab inside the variable name
 		"for t0\nx in //a",    // newline inside the variable name

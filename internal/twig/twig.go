@@ -144,12 +144,18 @@ func (q *Query) Clone() *Query {
 // String renders the query as a for-clause. Variables are renumbered in
 // depth-first order, matching the paper's convention.
 func (q *Query) String() string {
-	b := append(make([]byte, 0, 64), "for "...)
+	return string(q.AppendTo(make([]byte, 0, 64)))
+}
+
+// AppendTo appends the query's for-clause rendering (String) to b and
+// returns the extended buffer.
+func (q *Query) AppendTo(b []byte) []byte {
+	b = append(b, "for "...)
 	if q.Root != nil {
 		next := 0
 		b = appendBinding(b, q.Root, -1, &next)
 	}
-	return string(b)
+	return b
 }
 
 // appendBinding appends the binding of n and its subtree in pre-order:

@@ -87,22 +87,7 @@ func TestParseCommaInsidePredicate(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"for ",
-		"t0 in",
-		"t0 a/b",
-		"t0 in a, t1 in a/b",        // second binding must reference a variable
-		"t0 in a, t0 in t0/b",       // duplicate variable
-		"t0 in a, t1 in t0/",        // missing path after variable
-		"t0 in a, t1 in tX/b",       // unknown variable
-		"t0 in a[b, t1 in t0/c",     // unbalanced bracket
-		"t0 in a]b",                 // unbalanced close  bracket
-		"t 0 in a",                  // bad variable name
-		"t0 in a, , t1 in t0/b",     // empty binding
-		"t0 in a, t1 in t0/b[>bad]", // path error propagates
-	}
-	for _, src := range cases {
+	for _, src := range parseErrorSeeds {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
@@ -188,5 +173,25 @@ func TestIsPathQueryFalseForBranching(t *testing.T) {
 	q := MustParse("t0 in a, t1 in t0/b, t2 in t0/c")
 	if q.IsPathQuery() {
 		t.Fatal("branching twig reported as path query")
+	}
+}
+
+// TestParseLabelUTF8 checks that twig bindings accept non-ASCII labels
+// and reject invalid UTF-8 inside a path.
+func TestParseLabelUTF8(t *testing.T) {
+	q, err := Parse("t0 in //café, t1 in t0/prénom")
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if got := q.String(); got != "for t0 in //café, t1 in t0/prénom" {
+		t.Fatalf("String = %q", got)
+	}
+	if q.Root.Path.Steps[0].Label != "café" || q.Root.Children[0].Path.Steps[0].Label != "prénom" {
+		t.Fatalf("labels = %q, %q", q.Root.Path.Steps[0].Label, q.Root.Children[0].Path.Steps[0].Label)
+	}
+	_, err = Parse("t0 in //a\xffb")
+	want := `twig: binding "t0 in //a\xffb": pathexpr: at offset 3 of "//a\xffb": unexpected "\xffb"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Parse error = %v, want %s", err, want)
 	}
 }

@@ -1,6 +1,7 @@
 package xsketch
 
 import (
+	"bytes"
 	"slices"
 	"strconv"
 
@@ -88,93 +89,181 @@ func (sk *Sketch) EmbeddingsTruncated(q *twig.Query) ([]*Embedding, bool) {
 }
 
 // embeddingsTraced is EmbeddingsTruncated with an optional recorder
-// receiving expansion, dedup and soft-floor events.
+// receiving expansion, dedup and soft-floor events. The trees come from a
+// fresh arena, so they belong to the caller.
 func (sk *Sketch) embeddingsTraced(q *twig.Query, rec *trace.Recorder) ([]*Embedding, bool) {
+	var a embArena
+	roots, truncated := sk.enumerate(&a, q, rec)
+	ems := make([]Embedding, len(roots))
+	out := make([]*Embedding, len(roots))
+	for i, r := range roots {
+		ems[i].Root = r
+		out[i] = &ems[i]
+	}
+	return out, truncated
+}
+
+// enumerate is the embedding enumerator: it returns the virtual roots of
+// q's deduplicated embeddings, in enumeration order, with every tree and
+// the returned slice taken from arena a, and reports truncation by
+// Cfg.MaxEmbeddings.
+//
+// The plain reading of the root path hangs its realizations under the
+// virtual root. The root-self reading (mirroring eval) applies when a
+// child-axis first step names the root element's tag: that step consumes
+// the virtual root itself, its predicates attaching there. Both are
+// realizations of the root path extended by a one-link prefix for the
+// virtual root, with or without the first step.
+func (sk *Sketch) enumerate(a *embArena, q *twig.Query, rec *trace.Recorder) ([]*EmbNode, bool) {
 	if q.Root == nil {
 		return nil, false
 	}
 	rootSyn := sk.Syn.NodeOf(sk.Syn.Doc.Root())
 	sk.readStructure(rootSyn)
-	bud := &embedBudget{left: sk.Cfg.MaxEmbeddings, rec: rec}
+	steps := q.Root.Path.Steps
+	if len(steps) == 0 {
+		return nil, false
+	}
+	bud := embedBudget{left: sk.Cfg.MaxEmbeddings, rec: rec}
 	if bud.left <= 0 {
 		bud.left = 1 << 30
 	}
-	alts := sk.embedTwig(rootSyn, q.Root.Path.Steps, q.Root.Children, bud)
-	out := wrapEmbeddings(make([]*Embedding, 0, len(alts)), rootSyn, alts)
-	// Root-self interpretation of absolute paths (mirroring eval): a
-	// child-axis first step naming the root element's tag consumes the
-	// virtual root itself, its predicates attaching there.
-	if steps := q.Root.Path.Steps; len(steps) > 0 && steps[0].Axis == pathexpr.Child {
+	base := len(a.alts)
+	prefix := [1]link{{syn: rootSyn}}
+	sk.pushAlts(a, rootSyn, prefix[:], steps, q.Root.Children, &bud)
+	if steps[0].Axis == pathexpr.Child {
 		if tag, ok := sk.Syn.Doc.LookupTag(steps[0].Label); ok && sk.Syn.Node(rootSyn).Tag == tag {
-			step0 := steps[0]
-			if len(steps) == 1 {
-				for _, combo := range sk.embedChildren(rootSyn, q.Root.Children, bud) {
-					out = append(out, &Embedding{Root: &EmbNode{
-						Syn: rootSyn, Value: step0.Value, Branches: step0.Branches, Children: combo,
-					}})
-				}
-			} else {
-				for _, alt := range sk.embedTwig(rootSyn, steps[1:], q.Root.Children, bud) {
-					out = append(out, &Embedding{Root: &EmbNode{
-						Syn: rootSyn, Value: step0.Value, Branches: step0.Branches, Children: []*EmbNode{alt},
-					}})
-				}
-			}
+			prefix[0].step = steps[0]
+			sk.pushAlts(a, rootSyn, prefix[:], steps[1:], q.Root.Children, &bud)
 		}
 	}
-	deduped := dedupeEmbeddings(out)
-	if rec != nil && len(deduped) < len(out) {
+	all := len(a.alts) - base
+	roots := a.keep(a.dedupe(a.alts[base:]))
+	a.alts = a.alts[:base]
+	if rec != nil && len(roots) < all {
 		rec.Event(trace.Event{
 			Kind:   trace.EventDedup,
 			Detail: "structurally identical embeddings dropped",
-			Count:  len(out) - len(deduped),
+			Count:  all - len(roots),
 		})
 	}
-	return deduped, bud.truncated
+	return roots, bud.truncated
 }
 
-// wrapEmbeddings appends one embedding per alternative to out, each under
-// its own virtual root node for rootSyn. The roots and their one-element
-// child lists share two slabs.
-func wrapEmbeddings(out []*Embedding, rootSyn graphsyn.NodeID, alts []*EmbNode) []*Embedding {
-	ems := make([]Embedding, len(alts))
-	roots := make([]EmbNode, len(alts))
-	kids := make([]*EmbNode, len(alts))
-	for i, a := range alts {
-		kids[i] = a
-		roots[i] = EmbNode{Syn: rootSyn, Children: kids[i : i+1 : i+1]}
-		ems[i].Root = &roots[i]
-		out = append(out, &ems[i])
+// embArena is the memory of one embedding enumeration. Nodes, child lists
+// and chains are carved from chunks front to back; alternatives and chains
+// under construction live on two stacks, each caller popping what it
+// pushed. A plan compile draws its arena from a pool and resets it when
+// the compile returns (compileScratch in planner.go); Embeddings and the
+// interpreter enumerate into a fresh arena, so pooled memory never leaves
+// the compiler.
+type embArena struct {
+	nodes  []EmbNode
+	ptrs   []*EmbNode
+	links  []link
+	alts   []*EmbNode
+	chains [][]link
+	// Dedup scratch: every signature in sig, ending at ends[i]; order
+	// sorts the embeddings by signature; dup marks the later copies.
+	sig   []byte
+	ends  []int
+	order []int
+	dup   []bool
+}
+
+// carve returns n zeroed elements from the spare capacity of *chunk,
+// starting a chunk at least twice as large when it lacks room; elements
+// already handed out stay valid.
+func carve[T any](chunk *[]T, n int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(2*cap(c), n, 16))
 	}
+	*chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
+}
+
+// recycle clears the used part of a chunk, s[:len(s)], for the next
+// user, dropping the chunk instead when it grew past limit elements.
+func recycle[T any](s []T, limit int) []T {
+	if cap(s) > limit {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// truncate empties a list that holds no pointers for the next user,
+// dropping it instead when it grew past limit elements.
+func truncate[T any](s []T, limit int) []T {
+	if cap(s) > limit {
+		return nil
+	}
+	return s[:0]
+}
+
+// arenaLimit bounds the chunk and stack sizes a pooled arena keeps between
+// compiles, so one huge query cannot pin its memory in the pool.
+const arenaLimit = 1 << 12
+
+// reset empties the arena for reuse. The stacks are empty by then, but
+// their spare capacity still points at this enumeration's nodes and
+// chains.
+func (a *embArena) reset() {
+	a.nodes = recycle(a.nodes, arenaLimit)
+	a.ptrs = recycle(a.ptrs, arenaLimit)
+	a.links = recycle(a.links, arenaLimit)
+	a.alts = recycle(a.alts[:cap(a.alts)], arenaLimit)
+	a.chains = recycle(a.chains[:cap(a.chains)], arenaLimit)
+	a.sig = truncate(a.sig, 16*arenaLimit)
+	a.ends = truncate(a.ends, arenaLimit)
+	a.order = truncate(a.order, arenaLimit)
+	a.dup = truncate(a.dup, arenaLimit)
+}
+
+// keep copies a list of nodes from a stack into the arena's chunks.
+func (a *embArena) keep(ns []*EmbNode) []*EmbNode {
+	out := carve(&a.ptrs, len(ns))
+	copy(out, ns)
 	return out
 }
 
-// dedupeEmbeddings drops embeddings whose trees are structurally identical
-// (same synopsis nodes, predicates and shape) to an earlier one, preserving
-// enumeration order. All signatures are rendered into one buffer that
-// becomes a single string, so the keys cost one allocation together.
-func dedupeEmbeddings(ems []*Embedding) []*Embedding {
-	if len(ems) < 2 {
-		return ems
+// dedupe drops, in place, the embeddings whose trees are structurally
+// identical (same synopsis nodes, predicates and shape) to an earlier
+// one, preserving enumeration order. The embeddings are sorted by
+// signature, and each one equal to its predecessor in that order (ties
+// broken by position) is a later copy.
+func (a *embArena) dedupe(roots []*EmbNode) []*EmbNode {
+	if len(roots) < 2 {
+		return roots
 	}
-	var buf []byte
-	ends := make([]int, len(ems))
-	for i, em := range ems {
-		buf = appendEmbSig(buf, em.Root)
-		ends[i] = len(buf)
+	a.sig, a.ends, a.order, a.dup = a.sig[:0], a.ends[:0], a.order[:0], a.dup[:0]
+	for i, r := range roots {
+		a.sig = appendEmbSig(a.sig, r)
+		a.ends = append(a.ends, len(a.sig))
+		a.order = append(a.order, i)
+		a.dup = append(a.dup, false)
 	}
-	sigs := string(buf)
-	seen := make(map[string]struct{}, len(ems))
-	out := ems[:0]
-	start := 0
-	for i, em := range ems {
-		sig := sigs[start:ends[i]]
-		start = ends[i]
-		if _, dup := seen[sig]; dup {
-			continue
+	sig := func(i int) []byte {
+		if i == 0 {
+			return a.sig[:a.ends[0]]
 		}
-		seen[sig] = struct{}{}
-		out = append(out, em)
+		return a.sig[a.ends[i-1]:a.ends[i]]
+	}
+	slices.SortFunc(a.order, func(x, y int) int {
+		if c := bytes.Compare(sig(x), sig(y)); c != 0 {
+			return c
+		}
+		return x - y
+	})
+	for k := 1; k < len(a.order); k++ {
+		a.dup[a.order[k]] = bytes.Equal(sig(a.order[k]), sig(a.order[k-1]))
+	}
+	out := roots[:0]
+	for i, r := range roots {
+		if !a.dup[i] {
+			out = append(out, r)
+		}
 	}
 	return out
 }
@@ -207,39 +296,6 @@ func appendEmbSig(b []byte, n *EmbNode) []byte {
 	return append(b, ')')
 }
 
-// embedChildren enumerates the cartesian combinations of the children's
-// embedded alternatives from a fixed context node (used by the root-self
-// interpretation, where the parent is the virtual root itself). With no
-// children it yields one empty combination.
-func (sk *Sketch) embedChildren(ctx graphsyn.NodeID, children []*twig.Node, bud *embedBudget) [][]*EmbNode {
-	alts := make([][]*EmbNode, len(children))
-	for i, ct := range children {
-		alts[i] = sk.embedTwig(ctx, ct.Path.Steps, ct.Children, bud)
-		if len(alts[i]) == 0 {
-			return nil
-		}
-	}
-	var out [][]*EmbNode
-	combo := make([]*EmbNode, len(children))
-	var emit func(i int)
-	emit = func(i int) {
-		if i == len(children) {
-			out = append(out, append([]*EmbNode(nil), combo...))
-			bud.left--
-			return
-		}
-		for _, a := range alts[i] {
-			combo[i] = a
-			emit(i + 1)
-			if bud.exhausted() && len(out) > 0 {
-				return
-			}
-		}
-	}
-	emit(0)
-	return out
-}
-
 // link is one node of a chain, the single-path realization of a twig
 // node's path expression: a synopsis node plus, for the node reached by a
 // labeled step, that step (whose value and branching predicates apply
@@ -252,67 +308,92 @@ type link struct {
 }
 
 // embedTwig returns the alternative embedded subtrees for a twig node with
-// the given path steps and children, evaluated from synopsis context ctx.
-// Even with the budget exhausted it yields at least one subtree whenever
+// the given path steps and children, evaluated from synopsis context ctx,
+// as a list in the arena's chunks.
+func (sk *Sketch) embedTwig(a *embArena, ctx graphsyn.NodeID, steps []*pathexpr.Step, children []*twig.Node, bud *embedBudget) []*EmbNode {
+	base := len(a.alts)
+	sk.pushAlts(a, ctx, nil, steps, children, bud)
+	out := a.keep(a.alts[base:])
+	a.alts = a.alts[:base]
+	return out
+}
+
+// pushAlts pushes onto a.alts the alternative subtrees realizing prefix
+// followed by steps from synopsis context ctx (the prefix's tail, when
+// there is a prefix), with the twig node's children embedded under each
+// chain's tail. Even with the budget exhausted it yields at least one subtree whenever
 // the node is structurally embeddable, so a truncated enumeration never
-// collapses an embeddable query to zero embeddings (it returns a prefix of
-// the full set instead).
-func (sk *Sketch) embedTwig(ctx graphsyn.NodeID, steps []*pathexpr.Step, children []*twig.Node, bud *embedBudget) []*EmbNode {
-	// Stack buffers for the usual short chain and few alternatives.
-	var prefix [16]link
-	var chainBuf [4][]link
-	chains := sk.embedPath(ctx, steps, prefix[:0], chainBuf[:0], bud)
-	if len(chains) == 0 {
-		return nil
+// collapses an embeddable query to zero embeddings (it returns a prefix
+// of the full set instead).
+func (sk *Sketch) pushAlts(a *embArena, ctx graphsyn.NodeID, prefix []link, steps []*pathexpr.Step, children []*twig.Node, bud *embedBudget) {
+	// A stack buffer holds the usual short chain under construction.
+	var buf [16]link
+	cbase := len(a.chains)
+	sk.embedPath(a, ctx, steps, append(buf[:0], prefix...), bud)
+	cend := len(a.chains)
+	var altsBuf [8][]*EmbNode
+	childAlts := altsBuf[:0]
+	if len(children) > len(altsBuf) {
+		childAlts = make([][]*EmbNode, 0, len(children))
 	}
-	var out []*EmbNode
-	childAlts := make([][]*EmbNode, len(children))
-	combo := make([]*EmbNode, len(children))
-	for _, ch := range chains {
+	childAlts = childAlts[:len(children)]
+	for ci := cbase; ci < cend; ci++ {
+		ch := a.chains[ci]
 		// Embed each twig child from the chain tail; collect the
 		// alternatives per child.
 		ok := true
 		for i, ct := range children {
-			childAlts[i] = sk.embedTwig(ch[len(ch)-1].syn, ct.Path.Steps, ct.Children, bud)
+			childAlts[i] = sk.embedTwig(a, ch[len(ch)-1].syn, ct.Path.Steps, ct.Children, bud)
 			if len(childAlts[i]) == 0 {
 				ok = false
 				break
 			}
 		}
-		if !ok {
-			continue
-		}
-		// Cartesian product over the children's alternatives; each
-		// combination materializes its own copy of the chain.
-		var emit func(i int)
-		emit = func(i int) {
-			if i == len(children) {
-				out = append(out, materialize(ch, combo))
-				bud.left--
-				return
-			}
-			for _, alt := range childAlts[i] {
-				combo[i] = alt
-				emit(i + 1)
-				if bud.exhausted() && len(out) > 0 {
-					return
-				}
-			}
-		}
-		emit(0)
-		if bud.exhausted() && len(out) > 0 {
+		if ok && a.emitCombos(ch, childAlts, bud) {
 			break
 		}
 	}
-	return out
+	a.chains = a.chains[:cbase]
+}
+
+// emitCombos pushes onto a.alts one materialized copy of chain ch per
+// combination of the children's alternatives, the last child varying
+// fastest, charging each to the budget. It stops, reporting true, once
+// the budget is exhausted.
+func (a *embArena) emitCombos(ch []link, childAlts [][]*EmbNode, bud *embedBudget) bool {
+	var idxBuf [8]int
+	var comboBuf [8]*EmbNode
+	idx, combo := idxBuf[:0], comboBuf[:0]
+	for _, alts := range childAlts {
+		idx = append(idx, 0)
+		combo = append(combo, alts[0])
+	}
+	for {
+		a.alts = append(a.alts, a.materialize(ch, combo))
+		bud.left--
+		if bud.exhausted() {
+			return true
+		}
+		i := len(idx) - 1
+		for ; i >= 0; i-- {
+			if idx[i]++; idx[i] < len(childAlts[i]) {
+				combo[i] = childAlts[i][idx[i]]
+				break
+			}
+			idx[i], combo[i] = 0, childAlts[i][0]
+		}
+		if i < 0 {
+			return false
+		}
+	}
 }
 
 // materialize builds the embedded subtree of one chain with the given
-// children under its tail, from one node slab and one child-pointer slab.
-// The children themselves are shared, not copied.
-func materialize(ch []link, children []*EmbNode) *EmbNode {
-	nodes := make([]EmbNode, len(ch))
-	kids := make([]*EmbNode, len(ch)-1+len(children))
+// children under its tail, from the arena's chunks. The children
+// themselves are shared, not copied.
+func (a *embArena) materialize(ch []link, children []*EmbNode) *EmbNode {
+	nodes := carve(&a.nodes, len(ch))
+	kids := carve(&a.ptrs, len(ch)-1+len(children))
 	last := len(ch) - 1
 	for i, l := range ch {
 		n := &nodes[i]
@@ -331,13 +412,19 @@ func materialize(ch []link, children []*EmbNode) *EmbNode {
 	return &nodes[0]
 }
 
-// embedPath appends to out every chain realizing steps from ctx, in
+// embedPath pushes onto a.chains every chain realizing steps from ctx, in
 // enumeration order: each is prefix followed by the links of one
-// realization per step. prefix is the caller's chain so far; appends to it
-// may reuse its spare capacity, so every emitted chain is a fresh copy.
-func (sk *Sketch) embedPath(ctx graphsyn.NodeID, steps []*pathexpr.Step, prefix []link, out [][]link, bud *embedBudget) [][]link {
+// realization per step, copied into the arena's chunks. With no steps left
+// the prefix itself, when not empty, is the one chain. Appends to prefix
+// may reuse its spare capacity.
+func (sk *Sketch) embedPath(a *embArena, ctx graphsyn.NodeID, steps []*pathexpr.Step, prefix []link, bud *embedBudget) {
 	if len(steps) == 0 {
-		return out
+		if len(prefix) > 0 {
+			ch := carve(&a.links, len(prefix))
+			copy(ch, prefix)
+			a.chains = append(a.chains, ch)
+		}
+		return
 	}
 	step := steps[0]
 	for _, seq := range sk.expandStepTraced(ctx, step, bud.rec) {
@@ -349,13 +436,8 @@ func (sk *Sketch) embedPath(ctx graphsyn.NodeID, steps []*pathexpr.Step, prefix 
 		}
 		tail := seq[len(seq)-1]
 		ch = append(ch, link{syn: tail, step: step})
-		if len(steps) == 1 {
-			out = append(out, slices.Clone(ch))
-			continue
-		}
-		out = sk.embedPath(tail, steps[1:], ch, out, bud)
+		sk.embedPath(a, tail, steps[1:], ch, bud)
 	}
-	return out
 }
 
 // expandStepUncached enumerates the synopsis-node sequences realizing one

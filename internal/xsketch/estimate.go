@@ -3,6 +3,7 @@ package xsketch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"xsketch/internal/graphsyn"
 	"xsketch/internal/pathexpr"
@@ -40,17 +41,18 @@ func (sk *Sketch) estimateEmbedding(em *Embedding) float64 {
 // estimator carries per-embedding precomputation: condSet lists the scope
 // edges that some embedding node's histogram conditions on as a backward
 // count, so ancestors know when bucket enumeration must carry into the
-// recursion (and when the cheaper factorized form is exact). rec, when
+// recursion (and when the cheaper factorized form is exact). An embedding
+// conditions on a handful of edges, so the set is a short list. rec, when
 // non-nil, receives per-stage latencies during evaluation (the structural
 // trace rides on the *trace.Node threaded through contrib).
 type estimator struct {
 	sk      *Sketch
-	condSet map[ScopeEdge]bool
+	condSet []ScopeEdge
 	rec     *trace.Recorder
 }
 
 func newEstimator(sk *Sketch, em *Embedding) *estimator {
-	e := &estimator{sk: sk, condSet: map[ScopeEdge]bool{}}
+	e := &estimator{sk: sk}
 	e.scan(em.Root)
 	return e
 }
@@ -61,14 +63,20 @@ func (e *estimator) scan(n *EmbNode) {
 	e.sk.readSummary(n.Syn)
 	if s := e.sk.Summaries[n.Syn]; s != nil {
 		for _, se := range s.Scope {
-			if se.From != n.Syn {
-				e.condSet[se] = true
+			if se.From != n.Syn && !e.conditioned(se) {
+				e.condSet = append(e.condSet, se)
 			}
 		}
 	}
 	for _, c := range n.Children {
 		e.scan(c)
 	}
+}
+
+// conditioned reports whether some node of the embedding conditions on
+// scope edge se.
+func (e *estimator) conditioned(se ScopeEdge) bool {
+	return slices.Contains(e.condSet, se)
 }
 
 // assignment records the count values fixed by ancestor bucket choices,
@@ -229,7 +237,7 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 	// same.
 	needEnum := len(uses) > 0
 	for _, cc := range covered {
-		if e.condSet[scope[cc.dim]] {
+		if e.conditioned(scope[cc.dim]) {
 			needEnum = true
 			break
 		}

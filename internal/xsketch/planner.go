@@ -3,7 +3,6 @@ package xsketch
 import (
 	"context"
 	"slices"
-	"strings"
 	"sync"
 
 	"xsketch/internal/pathexpr"
@@ -75,18 +74,17 @@ func (sk *Sketch) generation() uint64 { return sk.est.gen.Load() }
 // PlanQueryText returns a compiled plan for the query text, serving it
 // from the plan cache when possible. The text is whitespace-normalized
 // first, so any spelling of the same query shares one cached plan; only a
-// cache miss pays for parsing and compilation.
+// cache miss pays for parsing the normal form and compiling.
 func (sk *Sketch) PlanQueryText(text string) (*plan.Program, error) {
 	gen := sk.generation()
 	c := sk.planCache()
-	var norm string
+	norm := twig.NormalizeText(text)
 	if c != nil {
-		norm = twig.NormalizeText(text)
 		if p := c.Lookup(norm, gen); p != nil {
 			return p, nil
 		}
 	}
-	q, err := twig.Parse(text)
+	q, err := twig.ParseNormalized(norm)
 	if err != nil {
 		return nil, err
 	}
@@ -100,9 +98,16 @@ func (sk *Sketch) PlanQuery(q *twig.Query) *plan.Program {
 }
 
 // planParsed resolves a parsed query against the cache by canonical form
-// and compiles on a miss.
+// and compiles on a miss. The canonical key is rendered into a stack
+// buffer; when it equals the normalized request text, as it does for any
+// client sending canonical spellings, that string becomes the key.
 func (sk *Sketch) planParsed(c *plan.Cache, q *twig.Query, norm string, gen uint64) *plan.Program {
-	canonical := q.String()
+	var kb [256]byte
+	key := q.AppendTo(kb[:0])
+	canonical := norm
+	if string(key) != norm {
+		canonical = string(key)
+	}
 	if c != nil {
 		if p := c.Promote(canonical, norm, gen); p != nil {
 			return p
@@ -184,91 +189,222 @@ func (sk *Sketch) EstimateBatchTextContext(ctx context.Context, texts []string, 
 	})
 }
 
+// compileScratch is the pooled working memory of one plan compile: the
+// embedding arena, the compile-time scope-edge bindings, the conditioned
+// edge set, the query's labels, and the per-node lists under
+// construction, which are copied into the program's own memory before the
+// compile returns. Nothing the program keeps points into it.
+type compileScratch struct {
+	emb     embArena
+	env     []binding
+	condSet []ScopeEdge
+	labels  []string
+	// dims holds DDims then CovDims of each node, slots DSlots then
+	// CovSlots, uses its Uses.
+	dims, slots []int
+	uses        []plan.Use
+	// first holds the first chunk of every list, sized for a typical
+	// compile, so a fresh scratch (the pool drops its contents at garbage
+	// collection) is one allocation; a larger compile grows the lists.
+	first struct {
+		nodes   [32]EmbNode
+		ptrs    [48]*EmbNode
+		links   [32]link
+		alts    [16]*EmbNode
+		chains  [16][]link
+		env     [16]binding
+		condSet [16]ScopeEdge
+		labels  [16]string
+		dims    [32]int
+		slots   [32]int
+		uses    [8]plan.Use
+	}
+}
+
+var compileScratchPool = sync.Pool{New: func() any { return newCompileScratch() }}
+
+// newCompileScratch returns an empty scratch whose lists start in its
+// inline first chunks.
+func newCompileScratch() *compileScratch {
+	s := new(compileScratch)
+	f := &s.first
+	s.emb.nodes, s.emb.ptrs, s.emb.links = f.nodes[:0], f.ptrs[:0], f.links[:0]
+	s.emb.alts, s.emb.chains = f.alts[:0], f.chains[:0]
+	s.env, s.condSet, s.labels = f.env[:0], f.condSet[:0], f.labels[:0]
+	s.dims, s.slots, s.uses = f.dims[:0], f.slots[:0], f.uses[:0]
+	return s
+}
+
+// reset empties the scratch for the next compile.
+func (s *compileScratch) reset() {
+	s.emb.reset()
+	s.env = truncate(s.env, arenaLimit)
+	s.condSet = truncate(s.condSet, arenaLimit)
+	s.labels = recycle(s.labels, arenaLimit)
+	s.dims = truncate(s.dims, arenaLimit)
+	s.slots = truncate(s.slots, arenaLimit)
+	s.uses = recycle(s.uses, arenaLimit)
+}
+
 // compileProgram compiles a query into an executable program against the
-// current sketch state, tagged with the given generation. The compiler
-// reuses the interpreter's own enumeration and term computations
-// (EmbeddingsTruncated, estimator.scan, valueFraction, existsFraction,
-// avgCount), evaluating every constant in the interpreter's order, so the
-// frozen constants are the bits the interpreter would produce.
+// current sketch state, tagged with the given generation, in scratch drawn
+// from the pool for the duration of the call.
 func (sk *Sketch) compileProgram(q *twig.Query, canonical string, gen uint64) *plan.Program {
-	ems, truncated := sk.EmbeddingsTruncated(q)
+	s := compileScratchPool.Get().(*compileScratch)
+	defer func() {
+		s.reset()
+		compileScratchPool.Put(s)
+	}()
+	return s.compile(sk, q, canonical, gen)
+}
+
+// compile is compileProgram's work. The compiler reuses the interpreter's
+// own enumeration and term computations (enumerate, estimator.scan,
+// valueFraction, existsFraction, avgCount), evaluating every constant in
+// the interpreter's order, so the frozen constants are the bits the
+// interpreter would produce. Its working memory is the scratch; the
+// program gets a few allocations sized to what it keeps.
+func (s *compileScratch) compile(sk *Sketch, q *twig.Query, canonical string, gen uint64) *plan.Program {
+	roots, truncated := sk.enumerate(&s.emb, q, nil)
 	p := &plan.Program{
 		Canonical:  canonical,
 		Query:      q,
 		Generation: gen,
 		Truncated:  truncated,
-		Tags:       sk.internTags(q),
-		Embeddings: make([]plan.Emb, 0, len(ems)),
+		Tags:       sk.internTags(s, q),
+		Embeddings: make([]plan.Emb, 0, len(roots)),
 	}
 	// Every compiled node, and every child pointer, comes from one slab
 	// sized by the embedding node count (pruned subtrees leave it short).
 	n := 0
-	for _, em := range ems {
-		n += em.Size() + 1 // the virtual root compiles too
+	for _, r := range roots {
+		n += countEmbNodes(r) // the virtual root compiles too
 	}
-	pc := &planCompiler{sk: sk, prog: p, env: map[ScopeEdge]int{},
-		est:   &estimator{sk: sk, condSet: map[ScopeEdge]bool{}},
-		nodes: make([]plan.Node, n), kids: make([]*plan.Node, n)}
-	for _, em := range ems {
-		clear(pc.est.condSet)
-		pc.est.scan(em.Root)
-		root := pc.node(em.Root, false)
+	nodes := make([]plan.Node, n)
+	pc := planCompiler{sk: sk, s: s, prog: p, est: estimator{sk: sk},
+		nodes: nodes, kids: make([]*plan.Node, n)}
+	for _, r := range roots {
+		pc.est.condSet = s.condSet[:0]
+		pc.est.scan(r)
+		s.condSet = pc.est.condSet
+		root := pc.node(r, false)
 		p.Embeddings = append(p.Embeddings, plan.Emb{
-			Base: float64(sk.Syn.Node(em.Root.Syn).Count()),
+			Base: float64(sk.Syn.Node(r.Syn).Count()),
 			Root: root,
 		})
 	}
+	ownLists(nodes[:p.NumNodes])
 	return p
+}
+
+// ownLists moves the compiled nodes' index and use lists out of the
+// compile scratch into two arrays of their own, leaving empty lists nil.
+func ownLists(nodes []plan.Node) {
+	ni, nu := 0, 0
+	for i := range nodes {
+		pn := &nodes[i]
+		ni += len(pn.DDims) + len(pn.DSlots) + len(pn.CovDims) + len(pn.CovSlots)
+		nu += len(pn.Uses)
+	}
+	ints := make([]int, ni)
+	uses := make([]plan.Use, nu)
+	for i := range nodes {
+		pn := &nodes[i]
+		pn.DDims, ints = own(pn.DDims, ints)
+		pn.DSlots, ints = own(pn.DSlots, ints)
+		pn.CovDims, ints = own(pn.CovDims, ints)
+		pn.CovSlots, ints = own(pn.CovSlots, ints)
+		pn.Uses, uses = own(pn.Uses, uses)
+	}
+}
+
+// own copies list l to the front of dst, returning the copy (nil when l
+// is empty) and the rest of dst.
+func own[T any](l, dst []T) ([]T, []T) {
+	if len(l) == 0 {
+		return nil, dst
+	}
+	n := copy(dst, l)
+	return dst[:n:n], dst[n:]
 }
 
 // internTags resolves every distinct step label of the query (including
 // branch predicates) to its document tag ID, sorted by label for
-// deterministic plan rendering. A query has a handful of labels, so each
-// new one is inserted into the sorted slice in place.
-func (sk *Sketch) internTags(q *twig.Query) []plan.Tag {
-	tags := make([]plan.Tag, 0, 8)
-	q.Walk(func(n, _ *twig.Node, _ int) {
-		if n.Path != nil {
-			tags = sk.internStepTags(tags, n.Path.Steps)
-		}
-	})
-	return tags
-}
-
-// internStepTags adds the labels of steps and their branches to the
-// sorted tag table.
-func (sk *Sketch) internStepTags(tags []plan.Tag, steps []*pathexpr.Step) []plan.Tag {
-	for _, st := range steps {
-		i, found := slices.BinarySearchFunc(tags, st.Label, func(t plan.Tag, label string) int {
-			return strings.Compare(t.Label, label)
-		})
-		if !found {
-			id := -1
-			if tag, ok := sk.Syn.Doc.LookupTag(st.Label); ok {
-				id = int(tag)
-			}
-			tags = slices.Insert(tags, i, plan.Tag{Label: st.Label, ID: id})
-		}
-		for _, br := range st.Branches {
-			tags = sk.internStepTags(tags, br.Steps)
+// deterministic plan rendering. The distinct labels are gathered in
+// scratch and sorted once.
+func (sk *Sketch) internTags(s *compileScratch, q *twig.Query) []plan.Tag {
+	if q.Root != nil {
+		s.labels = appendLabels(s.labels, q.Root)
+	}
+	slices.Sort(s.labels)
+	tags := make([]plan.Tag, len(s.labels))
+	for i, label := range s.labels {
+		tags[i] = plan.Tag{Label: label, ID: -1}
+		if tag, ok := sk.Syn.Doc.LookupTag(label); ok {
+			tags[i].ID = int(tag)
 		}
 	}
 	return tags
 }
 
-// planCompiler compiles one embedding at a time. env is the compile-time
-// image of the interpreter's runtime assignment map: it binds each scope
-// edge expanded by an enumerating ancestor to the slot that will carry the
-// bucket's coordinate at execution time, with lexical push/pop mirroring
-// the per-bucket set/delete of the interpreter. nodes and kids are the
-// program's node and child-pointer slabs, consumed front to back.
+// appendLabels appends the step labels of the twig subtree at n that
+// labels does not hold yet.
+func appendLabels(labels []string, n *twig.Node) []string {
+	if n.Path != nil {
+		labels = appendStepLabels(labels, n.Path.Steps)
+	}
+	for _, c := range n.Children {
+		labels = appendLabels(labels, c)
+	}
+	return labels
+}
+
+// appendStepLabels appends the new labels of steps and their branches.
+func appendStepLabels(labels []string, steps []*pathexpr.Step) []string {
+	for _, st := range steps {
+		if !slices.Contains(labels, st.Label) {
+			labels = append(labels, st.Label)
+		}
+		for _, br := range st.Branches {
+			labels = appendStepLabels(labels, br.Steps)
+		}
+	}
+	return labels
+}
+
+// binding is one compile-time scope-edge binding: the slot that carries
+// the edge's bucket coordinate below an enumerating ancestor.
+type binding struct {
+	edge ScopeEdge
+	slot int
+}
+
+// planCompiler compiles one embedding at a time. s.env is the compile-time
+// image of the interpreter's runtime assignment map: a stack binding each
+// scope edge expanded by an enumerating ancestor to the slot that will
+// carry the bucket's coordinate at execution time, innermost last, pushed
+// and popped around a node's subtree like the interpreter's per-bucket
+// set/delete. nodes and kids are the program's node and child-pointer
+// slabs, consumed front to back.
 type planCompiler struct {
 	sk    *Sketch
-	est   *estimator
+	s     *compileScratch
+	est   estimator
 	prog  *plan.Program
-	env   map[ScopeEdge]int
 	nodes []plan.Node
 	kids  []*plan.Node
+}
+
+// slotOf returns the slot bound to a scope edge by the innermost
+// enumerating ancestor.
+func (pc *planCompiler) slotOf(se ScopeEdge) (int, bool) {
+	env := pc.s.env
+	for i := len(env) - 1; i >= 0; i-- {
+		if env[i].edge == se {
+			return env[i].slot, true
+		}
+	}
+	return 0, false
 }
 
 // takeKids reserves room for n child pointers from the slab, as an empty
@@ -285,8 +421,13 @@ func (pc *planCompiler) takeKids(n int) []*plan.Node {
 // needEnum criterion, and the same early zero cutoffs — except that
 // everything depending only on (query shape, sketch state) is evaluated
 // now and stored.
+//
+// The node's uses and index lists are appended to the scratch lists and
+// complete before its children compile, so each is one run of a scratch
+// list that later appends leave alone (or, once a list regrows, a run of
+// its old array); ownLists copies them out.
 func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
-	sk := pc.sk
+	sk, sc := pc.sk, pc.s
 	s := sk.Summaries[n.Syn]
 	var scope []ScopeEdge
 	var vdims []*ValueDim
@@ -295,33 +436,33 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		vdims = s.ValueDims
 	}
 
-	var uses []plan.Use
+	usesAt := len(sc.uses)
 	factor := 1.0
 	if n.Value != nil && !skipSelfValue {
 		if idx := valueDimIdx(s, n.Syn); idx >= 0 {
-			uses = append(uses, plan.Use{Dim: idx, Overlap: vdims[idx-len(scope)], Pred: n.Value, CountDim: -1})
+			sc.uses = append(sc.uses, plan.Use{Dim: idx, Overlap: vdims[idx-len(scope)], Pred: n.Value, CountDim: -1})
 		} else {
 			factor *= sk.valueFraction(n.Syn, n.Value)
 		}
 	}
 	for _, br := range n.Branches {
 		if u, ok := pc.est.branchValueUse(s, scope, vdims, n, br); ok {
-			uses = append(uses, plan.Use{Dim: u.dim, Overlap: u.vd, Pred: u.pred, CountDim: u.countDim})
+			sc.uses = append(sc.uses, plan.Use{Dim: u.dim, Overlap: u.vd, Pred: u.pred, CountDim: u.countDim})
 			continue
 		}
 		v, _ := pc.est.existsFraction(n.Syn, br.Steps)
 		factor *= v
 	}
 
-	pn := &pc.nodes[0]
+	pn := &pc.nodes[0] // zeroed by make
 	pc.nodes = pc.nodes[1:]
-	*pn = plan.Node{Syn: int(n.Syn), Index: pc.prog.NumNodes, Factor: factor, UncBase: 1}
+	pn.Syn, pn.Index, pn.Factor, pn.UncBase = int(n.Syn), pc.prog.NumNodes, factor, 1
 	pc.prog.NumNodes++
 	if factor == 0 {
 		pn.Mode = plan.ModeZero
 		return pn
 	}
-	if len(n.Children) == 0 && len(uses) == 0 {
+	if len(n.Children) == 0 && len(sc.uses) == usesAt {
 		pn.Mode = plan.ModeLeaf
 		return pn
 	}
@@ -334,7 +475,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		cc := coveredChild{child: c, dim: scopeIndex(scope, ScopeEdge{From: n.Syn, To: c.Syn})}
 		if c.Value != nil {
 			if idx := valueDimIdx(s, c.Syn); idx >= 0 {
-				uses = append(uses, plan.Use{Dim: idx, Overlap: vdims[idx-len(scope)], Pred: c.Value, CountDim: -1})
+				sc.uses = append(sc.uses, plan.Use{Dim: idx, Overlap: vdims[idx-len(scope)], Pred: c.Value, CountDim: -1})
 				cc.skip = true
 			}
 		}
@@ -344,22 +485,26 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 			uncovered = append(uncovered, cc)
 		}
 	}
+	uses := sc.uses[usesAt:len(sc.uses):len(sc.uses)]
 
 	// D_i: scope dims bound by enumerating ancestors, read off the
 	// compile-time environment in scope order (the interpreter reads its
 	// assignment map in the same order).
+	dimsAt, slotsAt := len(sc.dims), len(sc.slots)
 	for i, se := range scope {
-		if slot, ok := pc.env[se]; ok {
-			pn.DDims = append(pn.DDims, i)
-			pn.DSlots = append(pn.DSlots, slot)
+		if slot, ok := pc.slotOf(se); ok {
+			sc.dims = append(sc.dims, i)
+			sc.slots = append(sc.slots, slot)
 		}
 	}
+	pn.DDims = sc.dims[dimsAt:len(sc.dims):len(sc.dims)]
+	pn.DSlots = sc.slots[slotsAt:len(sc.slots):len(sc.slots)]
 	pn.DOff = pc.prog.DValsLen
 	pc.prog.DValsLen += len(pn.DDims)
 
 	needEnum := len(uses) > 0
 	for _, cc := range covered {
-		if pc.est.condSet[scope[cc.dim]] {
+		if pc.est.conditioned(scope[cc.dim]) {
 			needEnum = true
 			break
 		}
@@ -384,9 +529,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 				return pn
 			}
 			pn.Hist = s.Hist
-			for _, cc := range covered {
-				pn.CovDims = append(pn.CovDims, cc.dim)
-			}
+			pn.CovDims = pc.covDims(covered)
 		}
 		pn.Mode = plan.ModeFactorized
 		pc.children(pn, covered, uncovered)
@@ -399,35 +542,34 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 	}
 	pn.Mode = plan.ModeEnumerated
 	pn.Hist = s.Hist
-	// Bind this node's expanded dims to fresh slots for the subtree, and
-	// restore any shadowed outer bindings afterwards — the lexical image
-	// of the interpreter's copied-and-extended assignment map.
-	type shadow struct {
-		edge ScopeEdge
-		slot int
-		had  bool
-	}
-	shadows := make([]shadow, 0, 4)
+	pn.CovDims = pc.covDims(covered)
+	// Bind this node's expanded dims to fresh slots for the subtree, then
+	// pop the bindings, uncovering any outer binding of the same edge —
+	// the lexical image of the interpreter's copied-and-extended
+	// assignment map.
+	slotsAt = len(sc.slots)
+	envAt := len(sc.env)
 	for _, cc := range covered {
-		pn.CovDims = append(pn.CovDims, cc.dim)
 		slot := pc.prog.NumSlots
 		pc.prog.NumSlots++
-		pn.CovSlots = append(pn.CovSlots, slot)
-		edge := scope[cc.dim]
-		old, had := pc.env[edge]
-		shadows = append(shadows, shadow{edge: edge, slot: old, had: had})
-		pc.env[edge] = slot
+		sc.slots = append(sc.slots, slot)
+		sc.env = append(sc.env, binding{edge: scope[cc.dim], slot: slot})
 	}
+	pn.CovSlots = sc.slots[slotsAt:len(sc.slots):len(sc.slots)]
 	pc.children(pn, covered, uncovered)
-	for i := len(shadows) - 1; i >= 0; i-- {
-		sh := shadows[i]
-		if sh.had {
-			pc.env[sh.edge] = sh.slot
-		} else {
-			delete(pc.env, sh.edge)
-		}
-	}
+	sc.env = sc.env[:envAt]
 	return pn
+}
+
+// covDims appends the covered children's scope dimensions to the scratch
+// list and returns them.
+func (pc *planCompiler) covDims(covered []coveredChild) []int {
+	sc := pc.s
+	at := len(sc.dims)
+	for _, cc := range covered {
+		sc.dims = append(sc.dims, cc.dim)
+	}
+	return sc.dims[at:len(sc.dims):len(sc.dims)]
 }
 
 // children compiles pn's covered then uncovered children, in child order,

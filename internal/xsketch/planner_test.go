@@ -472,3 +472,105 @@ func TestProgramsShareScratchPool(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCompileScratchReuse checks that the pooled compile scratch never
+// leaks into what a compile returns. With the plan cache disabled every
+// PlanQueryText compiles, so two goroutines hammering one sketch reuse
+// the scratch arenas thousands of times: every program's estimate must
+// stay Float64bits-equal to EstimateQuery, and so must the first round's
+// programs, held and re-executed after all the later compiles. An
+// embedding set returned by Embeddings must keep its signatures across
+// 1000 later compiles. Meaningful under -race.
+func TestCompileScratchReuse(t *testing.T) {
+	type job struct {
+		sk   *Sketch
+		text string
+		want EstimateResult
+	}
+	var jobs []job
+	fixtures := plannerFixtures(t)
+	d, qs := xmarkQueries(40)
+	fixtures["xmark"] = New(d, DefaultConfig())
+	for name, sk := range fixtures {
+		sk.Cfg.PlanCacheSize = -1
+		texts := plannerFixtureQueries[name]
+		if name == "xmark" {
+			texts = nil
+			for _, q := range qs {
+				texts = append(texts, q.String())
+			}
+		}
+		for _, text := range texts {
+			jobs = append(jobs, job{sk: sk, text: text, want: sk.EstimateQueryResult(twig.MustParse(text))})
+		}
+	}
+	check := func(j job, p *plan.Program) bool {
+		got, err := j.sk.EstimatePlanContext(context.Background(), p)
+		if err != nil {
+			t.Errorf("%s: %v", j.text, err)
+			return false
+		}
+		if math.Float64bits(got.Estimate) != math.Float64bits(j.want.Estimate) || got.Truncated != j.want.Truncated {
+			t.Errorf("%s: planned %+v != EstimateQuery %+v", j.text, got, j.want)
+			return false
+		}
+		return true
+	}
+	const workers, rounds = 2, 30
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			held := make([]*plan.Program, len(jobs))
+			for r := 0; r < rounds; r++ {
+				for k := range jobs {
+					// Each goroutine walks the jobs in its own order, so
+					// the arenas serve queries of every size in turn.
+					j := (k*(2*w+1) + r) % len(jobs)
+					p, err := jobs[j].sk.PlanQueryText(jobs[j].text)
+					if err != nil {
+						t.Errorf("%s: %v", jobs[j].text, err)
+						return
+					}
+					if held[j] == nil {
+						held[j] = p
+					}
+					if !check(jobs[j], p) {
+						return
+					}
+				}
+			}
+			for j, p := range held {
+				if !check(jobs[j], p) {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	xm := fixtures["xmark"]
+	var sigs [][]string
+	var held [][]*Embedding
+	for _, q := range qs {
+		ems := xm.Embeddings(q)
+		var s []string
+		for _, em := range ems {
+			s = append(s, embSig(em.Root))
+		}
+		held, sigs = append(held, ems), append(sigs, s)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := xm.PlanQueryText(qs[i%len(qs)].String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, ems := range held {
+		for k, em := range ems {
+			if got := embSig(em.Root); got != sigs[i][k] {
+				t.Fatalf("%s: embedding %d changed after later compiles: %s, was %s", qs[i], k, got, sigs[i][k])
+			}
+		}
+	}
+}
