@@ -171,9 +171,11 @@ type embArena struct {
 	dup   []bool
 }
 
-// carve returns n zeroed elements from the spare capacity of *chunk,
-// starting a chunk at least twice as large when it lacks room; elements
-// already handed out stay valid.
+// carve returns n elements from the spare capacity of *chunk, starting a
+// chunk at least twice as large when it lacks room; elements already
+// handed out stay valid. In a reused chunk the elements still hold an
+// earlier compile's values, so every caller writes each element before
+// reading it.
 func carve[T any](chunk *[]T, n int) []T {
 	c := *chunk
 	if cap(c)-len(c) < n {
@@ -183,18 +185,11 @@ func carve[T any](chunk *[]T, n int) []T {
 	return c[len(c) : len(c)+n : len(c)+n]
 }
 
-// recycle clears the used part of a chunk, s[:len(s)], for the next
-// user, dropping the chunk instead when it grew past limit elements.
-func recycle[T any](s []T, limit int) []T {
-	if cap(s) > limit {
-		return nil
-	}
-	clear(s)
-	return s[:0]
-}
-
-// truncate empties a list that holds no pointers for the next user,
-// dropping it instead when it grew past limit elements.
+// truncate empties a chunk or list for the next user, dropping it instead
+// when it grew past limit elements. The old contents stay until the next
+// user overwrites them: clearing would cost a pass (and, during a garbage
+// collection, a write barrier per pointer), and what they keep alive is
+// bounded by limit and gone once the pool is emptied at a collection.
 func truncate[T any](s []T, limit int) []T {
 	if cap(s) > limit {
 		return nil
@@ -206,15 +201,13 @@ func truncate[T any](s []T, limit int) []T {
 // compiles, so one huge query cannot pin its memory in the pool.
 const arenaLimit = 1 << 12
 
-// reset empties the arena for reuse. The stacks are empty by then, but
-// their spare capacity still points at this enumeration's nodes and
-// chains.
+// reset empties the arena for reuse.
 func (a *embArena) reset() {
-	a.nodes = recycle(a.nodes, arenaLimit)
-	a.ptrs = recycle(a.ptrs, arenaLimit)
-	a.links = recycle(a.links, arenaLimit)
-	a.alts = recycle(a.alts[:cap(a.alts)], arenaLimit)
-	a.chains = recycle(a.chains[:cap(a.chains)], arenaLimit)
+	a.nodes = truncate(a.nodes, arenaLimit)
+	a.ptrs = truncate(a.ptrs, arenaLimit)
+	a.links = truncate(a.links, arenaLimit)
+	a.alts = truncate(a.alts, arenaLimit)
+	a.chains = truncate(a.chains, arenaLimit)
 	a.sig = truncate(a.sig, 16*arenaLimit)
 	a.ends = truncate(a.ends, arenaLimit)
 	a.order = truncate(a.order, arenaLimit)
@@ -397,7 +390,7 @@ func (a *embArena) materialize(ch []link, children []*EmbNode) *EmbNode {
 	last := len(ch) - 1
 	for i, l := range ch {
 		n := &nodes[i]
-		n.Syn = l.syn
+		*n = EmbNode{Syn: l.syn}
 		if l.step != nil {
 			n.Value, n.Branches = l.step.Value, l.step.Branches
 		}

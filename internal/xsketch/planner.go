@@ -19,10 +19,13 @@ import (
 // histogram lookups and float arithmetic into scratch drawn from the one
 // pool that internal/plan shares across all programs, is bit-identical to
 // the interpreter, and allocates nothing on the cache-hit path (both
-// asserted in planner_test.go). A miss is kept cheap as well: the
-// canonical key and every signature are rendered by appending, and the
-// compiled nodes come from slabs (allocations capped by
-// TestPlanCompileAllocs in the root package).
+// asserted in planner_test.go). A miss is kept cheap as well: the text is
+// parsed once in its normal form, the canonical key is rendered into a
+// stack buffer (and is the request text itself when the two agree), the
+// embedding trees and the compiler's working lists live in pooled
+// compile scratch, and the program's nodes and lists come from a few
+// slabs (allocations capped by TestPlanCompileAllocs and
+// TestPlanQueryTextMissAllocs in the root package).
 //
 // Invalidation rides on the estimator-cache generation (estcache.go):
 // every program records the generation it was compiled under, every
@@ -100,17 +103,18 @@ func (sk *Sketch) PlanQuery(q *twig.Query) *plan.Program {
 // planParsed resolves a parsed query against the cache by canonical form
 // and compiles on a miss. The canonical key is rendered into a stack
 // buffer; when it equals the normalized request text, as it does for any
-// client sending canonical spellings, that string becomes the key.
+// client sending canonical spellings, that string becomes the key, and
+// the canonical lookup is skipped: Lookup has just tried it.
 func (sk *Sketch) planParsed(c *plan.Cache, q *twig.Query, norm string, gen uint64) *plan.Program {
 	var kb [256]byte
 	key := q.AppendTo(kb[:0])
 	canonical := norm
 	if string(key) != norm {
 		canonical = string(key)
-	}
-	if c != nil {
-		if p := c.Promote(canonical, norm, gen); p != nil {
-			return p
+		if c != nil {
+			if p := c.Promote(canonical, norm, gen); p != nil {
+				return p
+			}
 		}
 	}
 	p := sk.compileProgram(q, canonical, gen)
@@ -240,10 +244,10 @@ func (s *compileScratch) reset() {
 	s.emb.reset()
 	s.env = truncate(s.env, arenaLimit)
 	s.condSet = truncate(s.condSet, arenaLimit)
-	s.labels = recycle(s.labels, arenaLimit)
+	s.labels = truncate(s.labels, arenaLimit)
 	s.dims = truncate(s.dims, arenaLimit)
 	s.slots = truncate(s.slots, arenaLimit)
-	s.uses = recycle(s.uses, arenaLimit)
+	s.uses = truncate(s.uses, arenaLimit)
 }
 
 // compileProgram compiles a query into an executable program against the
