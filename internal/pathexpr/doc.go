@@ -16,6 +16,10 @@
 //	paper[>1990][keyword]/title
 //	item[quantity>=2][payment][shipping]/mailbox//mail
 //
+// A label is a run of letters, digits and "_-@.", read as UTF-8 (so
+// "//café" names the element café); a byte that is not valid UTF-8 ends
+// it.
+//
 // A bracket whose content starts with a comparison operator ("[>2000]") is a
 // value predicate on the current step's own element; otherwise the bracket
 // holds a branching predicate — a relative path whose final step may carry a

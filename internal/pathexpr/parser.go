@@ -65,6 +65,16 @@ func (t *Tally) Add(c, next byte) {
 	}
 }
 
+// Counted reports whether Add counts anything for byte c, so a scan may
+// skip the other bytes.
+func Counted(c byte) bool {
+	switch c {
+	case '/', '[', '<', '>', '=':
+		return true
+	}
+	return false
+}
+
 // open tallies a separator or opening bracket c followed by next.
 func (t *Tally) open(c, next byte) {
 	if !isDelim(next) {

@@ -83,8 +83,9 @@ func fmtValue(v pathexpr.ValuePred) string {
 // kept as the oracle FuzzParse checks the in-place parser against: it
 // splits the bindings into substrings, resolves variables through a map
 // and parses every path with its own heap-allocated parser (oraclePath).
-// It carries the two label fixes of the current parser: labels are
-// decoded as UTF-8, and NormalizeText keeps non-whitespace bytes verbatim.
+// It has the current parser's two fixes: its labels are decoded as UTF-8,
+// and it normalizes with the current NormalizeText, which keeps
+// non-whitespace bytes verbatim.
 func oracleParse(src string) (*Query, error) {
 	s := NormalizeText(src)
 	if rest, ok := cutPrefixFold(s, "for "); ok {

@@ -166,7 +166,11 @@ func scanBindings(s string, ends []int) ([]int, pathexpr.Tally, error) {
 	start := 0
 	empty := false
 	for i := 0; i < len(s); i++ {
-		c, next := s[i], byte(0)
+		c := s[i]
+		if !delim[c] {
+			continue // the bulk of a text: label, number and space bytes
+		}
+		next := byte(0)
 		if i+1 < len(s) {
 			next = s[i+1]
 		}
@@ -195,6 +199,15 @@ func scanBindings(s string, ends []int) ([]int, pathexpr.Tally, error) {
 	}
 	return append(ends, len(s)), t, nil
 }
+
+// delim marks the bytes scanBindings acts on: brackets, commas, and what
+// a pathexpr.Tally counts.
+var delim = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c == '[' || c == ']' || c == ',' || pathexpr.Counted(byte(c))
+	}
+	return t
+}()
 
 // trimSpaces drops leading and trailing ASCII spaces, the only whitespace
 // normal-form text holds.
@@ -266,16 +279,18 @@ func isNormal(s string) bool {
 			prevSpace = false
 			continue
 		}
-		switch c {
-		case ' ':
+		switch {
+		case c > ' ':
+			prevSpace = false
+		case c == ' ':
 			if prevSpace {
 				return false
 			}
 			prevSpace = true
-		case '\t', '\n', '\v', '\f', '\r':
+		case c >= '\t' && c <= '\r':
 			return false
 		default:
-			prevSpace = false
+			prevSpace = false // other control bytes are not whitespace
 		}
 	}
 	return !prevSpace || s == ""

@@ -186,10 +186,10 @@ func carve[T any](chunk *[]T, n int) []T {
 }
 
 // truncate empties a chunk or list for the next user, dropping it instead
-// when it grew past limit elements. The old contents stay until the next
-// user overwrites them: clearing would cost a pass (and, during a garbage
-// collection, a write barrier per pointer), and what they keep alive is
-// bounded by limit and gone once the pool is emptied at a collection.
+// when it grew past limit elements. The old contents stay until a later
+// compile overwrites them: clearing would cost a pass (and, during a
+// garbage collection, a write barrier per pointer), and what they keep
+// alive is bounded by limit.
 func truncate[T any](s []T, limit int) []T {
 	if cap(s) > limit {
 		return nil
@@ -314,10 +314,10 @@ func (sk *Sketch) embedTwig(a *embArena, ctx graphsyn.NodeID, steps []*pathexpr.
 // pushAlts pushes onto a.alts the alternative subtrees realizing prefix
 // followed by steps from synopsis context ctx (the prefix's tail, when
 // there is a prefix), with the twig node's children embedded under each
-// chain's tail. Even with the budget exhausted it yields at least one subtree whenever
-// the node is structurally embeddable, so a truncated enumeration never
-// collapses an embeddable query to zero embeddings (it returns a prefix
-// of the full set instead).
+// chain's tail. Even with the budget exhausted it yields at least one
+// subtree whenever the node is structurally embeddable, so a truncated
+// enumeration never collapses an embeddable query to zero embeddings (it
+// returns a prefix of the full set instead).
 func (sk *Sketch) pushAlts(a *embArena, ctx graphsyn.NodeID, prefix []link, steps []*pathexpr.Step, children []*twig.Node, bud *embedBudget) {
 	// A stack buffer holds the usual short chain under construction.
 	var buf [16]link
