@@ -10,12 +10,8 @@ import (
 
 // Parse parses the concrete path syntax described in the package comment.
 func Parse(src string) (*Path, error) {
-	var t Tally
-	for i := 0; i+1 < len(src); i++ {
-		t.Add(src[i], src[i+1])
-	}
 	var sl Slab
-	sl.Reserve(t, 1)
+	sl.Reserve(TallyText(src), 1)
 	return sl.Parse(src)
 }
 
@@ -43,47 +39,44 @@ type Slab struct {
 	branches []*Path
 }
 
-// Tally counts what parsing a text takes from a slab, fed one byte at a
-// time so a caller scanning the text for its own reasons counts in the
-// same pass. The counts are exact for well-formed text whose first root
-// path starts with a label and whose other roots start with a slash, and
-// one step over otherwise.
+// Tally counts what parsing a text takes from a slab.
 type Tally struct {
 	branches, steps, values int
 }
 
-// Add tallies byte c of a text, followed by next (0 at the end). It is
-// small enough to inline into the caller's scan.
-func (t *Tally) Add(c, next byte) {
-	switch c {
-	case '/', '[':
-		t.open(c, next)
-	case '<', '>', '=':
-		if next != '=' || c == '=' {
-			t.values++ // a comparison; "<=" and ">=" count once
+// TallyText counts what parsing s takes from a slab. The counts are exact
+// for well-formed text whose first root path starts with a label and whose
+// other roots start with a slash, and one step over otherwise.
+func TallyText(s string) Tally {
+	var t Tally
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !counted[c] {
+			continue // the bulk of a text: label, number and space bytes
+		}
+		next := byte(0)
+		if i+1 < len(s) {
+			next = s[i+1]
+		}
+		switch c {
+		case '/', '[':
+			if !isDelim(next) {
+				t.steps++ // a label starts after a separator or bracket
+			}
+			if c == '[' && next != '=' && next != '<' && next != '>' && next != ']' {
+				t.branches++ // a branch predicate
+			}
+		case '<', '>', '=':
+			if next != '=' || c == '=' {
+				t.values++ // a comparison; "<=" and ">=" count once
+			}
 		}
 	}
+	return t
 }
 
-// Counted reports whether Add counts anything for byte c, so a scan may
-// skip the other bytes.
-func Counted(c byte) bool {
-	switch c {
-	case '/', '[', '<', '>', '=':
-		return true
-	}
-	return false
-}
-
-// open tallies a separator or opening bracket c followed by next.
-func (t *Tally) open(c, next byte) {
-	if !isDelim(next) {
-		t.steps++ // a label starts after a separator or bracket
-	}
-	if c == '[' && next != '=' && next != '<' && next != '>' && next != ']' {
-		t.branches++ // a branch predicate
-	}
-}
+// counted marks the bytes TallyText counts at.
+var counted = [256]bool{'/': true, '[': true, '<': true, '>': true, '=': true}
 
 // Reserve sizes the slab for parsing a text holding roots top-level path
 // expressions, tallied by t.
@@ -135,9 +128,9 @@ func take[T any](chunk *[]T) *T {
 	return &(*chunk)[len(*chunk)-1]
 }
 
-// carve returns a copy of elems in fresh memory from *chunk, replacing the
-// chunk with a larger one when it lacks room.
-func carve[T any](chunk *[]T, elems []T) []T {
+// copyInto returns a copy of elems in fresh memory from *chunk, replacing
+// the chunk with a larger one when it lacks room.
+func copyInto[T any](chunk *[]T, elems []T) []T {
 	c := *chunk
 	if cap(c)-len(c) < len(elems) {
 		c = make([]T, 0, max(2*cap(c), len(elems)))
@@ -203,7 +196,7 @@ func (p *parser) parsePath() (*Path, error) {
 		}
 	}
 	path := take(&p.sl.paths)
-	path.Steps = carve(&p.sl.stepPtrs, steps)
+	path.Steps = copyInto(&p.sl.stepPtrs, steps)
 	return path, nil
 }
 
@@ -229,7 +222,7 @@ func (p *parser) parseStep(axis Axis) (*Step, error) {
 		}
 	}
 	if len(branches) > 0 {
-		step.Branches = carve(&p.sl.branches, branches)
+		step.Branches = copyInto(&p.sl.branches, branches)
 	}
 	return step, nil
 }

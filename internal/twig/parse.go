@@ -41,7 +41,7 @@ func ParseNormalized(text string) (*Query, error) {
 		return nil, fmt.Errorf("twig: empty query")
 	}
 	var endBuf [16]int
-	ends, tally, err := scanBindings(s, endBuf[:0])
+	ends, err := scanBindings(s, endBuf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -51,9 +51,8 @@ func ParseNormalized(text string) (*Query, error) {
 	// root); the child lists are linked once every binding has parsed.
 	var parentBuf [16]int
 	parent := parentBuf[:0]
-	vars := varIndex{nodes: nodes}
 	var sl pathexpr.Slab
-	sl.Reserve(tally, n)
+	sl.Reserve(pathexpr.TallyText(s), n)
 	start := 0
 	for i, end := range ends {
 		b := trimSpaces(s[start:end])
@@ -62,12 +61,12 @@ func ParseNormalized(text string) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		if vars.lookup(name) >= 0 {
+		if lookupVar(nodes[:i], name) >= 0 {
 			return nil, fmt.Errorf("twig: duplicate variable %q", name)
 		}
 		// Does the expression start with a known variable?
 		head, rest := splitHead(expr)
-		pi := vars.lookup(head)
+		pi := lookupVar(nodes[:i], head)
 		if pi >= 0 {
 			if rest == "" {
 				return nil, fmt.Errorf("twig: binding %q: missing path after variable %q", b, head)
@@ -81,7 +80,6 @@ func ParseNormalized(text string) (*Query, error) {
 			return nil, fmt.Errorf("twig: binding %q: %w", b, err)
 		}
 		nodes[i] = Node{Var: name, Path: p}
-		vars.bind(name)
 		parent = append(parent, pi)
 	}
 	linkChildren(nodes, parent)
@@ -113,74 +111,32 @@ func linkChildren(nodes []Node, parent []int) {
 	}
 }
 
-// smallQuery is the binding count up to which variables are looked up by
-// scanning the bound nodes; larger texts index them in a map, so a huge
-// query still parses in linear time.
-const smallQuery = 32
-
-// varIndex resolves variable names to the indexes of the nodes bound so
-// far.
-type varIndex struct {
-	nodes []Node
-	bound int
-	m     map[string]int
-}
-
-// lookup returns the index of the node bound to name, or -1.
-func (v *varIndex) lookup(name string) int {
-	if v.m != nil {
-		if i, ok := v.m[name]; ok {
-			return i
-		}
-		return -1
-	}
-	for i := range v.nodes[:v.bound] {
-		if v.nodes[i].Var == name {
+// lookupVar returns the index of the node in bound whose variable is
+// name, or -1; a twig binds a handful of variables, so a scan beats a map.
+func lookupVar(bound []Node, name string) int {
+	for i := range bound {
+		if bound[i].Var == name {
 			return i
 		}
 	}
 	return -1
 }
 
-// bind records that the next node is bound to name.
-func (v *varIndex) bind(name string) {
-	v.bound++
-	if v.m == nil && v.bound > smallQuery {
-		v.m = make(map[string]int, len(v.nodes))
-		for i := range v.nodes[:v.bound-1] {
-			v.m[v.nodes[i].Var] = i
-		}
-	}
-	if v.m != nil {
-		v.m[name] = v.bound - 1
-	}
-}
-
 // scanBindings appends to ends the end offset of every comma-separated
-// binding of s, splitting only on commas outside brackets, and tallies
-// the slab the paths need, in one pass. It rejects unbalanced brackets and
-// empty bindings.
-func scanBindings(s string, ends []int) ([]int, pathexpr.Tally, error) {
-	var t pathexpr.Tally
+// binding of s, splitting only on commas outside brackets. It rejects
+// unbalanced brackets and empty bindings.
+func scanBindings(s string, ends []int) ([]int, error) {
 	depth := 0
 	start := 0
 	empty := false
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !delim[c] {
-			continue // the bulk of a text: label, number and space bytes
-		}
-		next := byte(0)
-		if i+1 < len(s) {
-			next = s[i+1]
-		}
-		switch c {
+		switch s[i] {
 		case '[':
 			depth++
 		case ']':
 			depth--
 			if depth < 0 {
-				return nil, t, fmt.Errorf("twig: unbalanced ']' in %q", s)
+				return nil, fmt.Errorf("twig: unbalanced ']' in %q", s)
 			}
 		case ',':
 			if depth == 0 {
@@ -189,25 +145,15 @@ func scanBindings(s string, ends []int) ([]int, pathexpr.Tally, error) {
 				start = i + 1
 			}
 		}
-		t.Add(c, next)
 	}
 	if depth != 0 {
-		return nil, t, fmt.Errorf("twig: unbalanced '[' in %q", s)
+		return nil, fmt.Errorf("twig: unbalanced '[' in %q", s)
 	}
 	if empty || trimSpaces(s[start:]) == "" {
-		return nil, t, fmt.Errorf("twig: empty binding in %q", s)
+		return nil, fmt.Errorf("twig: empty binding in %q", s)
 	}
-	return append(ends, len(s)), t, nil
+	return append(ends, len(s)), nil
 }
-
-// delim marks the bytes scanBindings acts on: brackets, commas, and what
-// a pathexpr.Tally counts.
-var delim = func() (t [256]bool) {
-	for c := range t {
-		t[c] = c == '[' || c == ']' || c == ',' || pathexpr.Counted(byte(c))
-	}
-	return t
-}()
 
 // trimSpaces drops leading and trailing ASCII spaces, the only whitespace
 // normal-form text holds.

@@ -89,11 +89,22 @@ func (sk *Sketch) EmbeddingsTruncated(q *twig.Query) ([]*Embedding, bool) {
 }
 
 // embeddingsTraced is EmbeddingsTruncated with an optional recorder
-// receiving expansion, dedup and soft-floor events. The trees come from a
-// fresh arena, so they belong to the caller.
+// receiving expansion, dedup and soft-floor events. The enumeration works
+// in a pooled scratch arena, but the trees and their child lists are
+// carved from fresh chunks, so they belong to the caller and no pooled
+// memory leaves the call.
 func (sk *Sketch) embeddingsTraced(q *twig.Query, rec *trace.Recorder) ([]*Embedding, bool) {
-	var a embArena
-	roots, truncated := sk.enumerate(&a, q, rec)
+	s := getCompileScratch()
+	defer s.release()
+	a := &s.emb
+	nodes, ptrs := a.nodes, a.ptrs
+	a.nodes, a.ptrs = nil, nil
+	if q.Root != nil {
+		// The first chunk fits one embedding taking only child steps.
+		a.nodes = make([]EmbNode, 0, 1+twigSteps(q.Root))
+	}
+	roots, truncated := sk.enumerate(a, q, rec)
+	a.nodes, a.ptrs = nodes, ptrs
 	ems := make([]Embedding, len(roots))
 	out := make([]*Embedding, len(roots))
 	for i, r := range roots {
@@ -101,6 +112,15 @@ func (sk *Sketch) embeddingsTraced(q *twig.Query, rec *trace.Recorder) ([]*Embed
 		out[i] = &ems[i]
 	}
 	return out, truncated
+}
+
+// twigSteps returns the number of path steps in the twig subtree at n.
+func twigSteps(n *twig.Node) int {
+	c := len(n.Path.Steps)
+	for _, ch := range n.Children {
+		c += twigSteps(ch)
+	}
+	return c
 }
 
 // enumerate is the embedding enumerator: it returns the virtual roots of
@@ -153,10 +173,10 @@ func (sk *Sketch) enumerate(a *embArena, q *twig.Query, rec *trace.Recorder) ([]
 // embArena is the memory of one embedding enumeration. Nodes, child lists
 // and chains are carved from chunks front to back; alternatives and chains
 // under construction live on two stacks, each caller popping what it
-// pushed. A plan compile draws its arena from a pool and resets it when
-// the compile returns (compileScratch in planner.go); Embeddings and the
-// interpreter enumerate into a fresh arena, so pooled memory never leaves
-// the compiler.
+// pushed. Every enumeration draws its arena from a pool and resets it
+// when it returns (compileScratch in planner.go); Embeddings and the
+// interpreter swap in empty node and pointer chunks first, so the trees
+// they return hold no pooled memory.
 type embArena struct {
 	nodes  []EmbNode
 	ptrs   []*EmbNode

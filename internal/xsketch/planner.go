@@ -227,6 +227,17 @@ type compileScratch struct {
 
 var compileScratchPool = sync.Pool{New: func() any { return newCompileScratch() }}
 
+// getCompileScratch draws an empty scratch from the pool.
+func getCompileScratch() *compileScratch {
+	return compileScratchPool.Get().(*compileScratch)
+}
+
+// release resets the scratch and returns it to the pool.
+func (s *compileScratch) release() {
+	s.reset()
+	compileScratchPool.Put(s)
+}
+
 // newCompileScratch returns an empty scratch whose lists start in its
 // inline first chunks.
 func newCompileScratch() *compileScratch {
@@ -254,11 +265,8 @@ func (s *compileScratch) reset() {
 // current sketch state, tagged with the given generation, in scratch drawn
 // from the pool for the duration of the call.
 func (sk *Sketch) compileProgram(q *twig.Query, canonical string, gen uint64) *plan.Program {
-	s := compileScratchPool.Get().(*compileScratch)
-	defer func() {
-		s.reset()
-		compileScratchPool.Put(s)
-	}()
+	s := getCompileScratch()
+	defer s.release()
 	return s.compile(sk, q, canonical, gen)
 }
 

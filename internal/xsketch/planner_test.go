@@ -474,13 +474,15 @@ func TestProgramsShareScratchPool(t *testing.T) {
 }
 
 // TestCompileScratchReuse checks that the pooled compile scratch never
-// leaks into what a compile returns. With the plan cache disabled every
-// PlanQueryText compiles, so two goroutines hammering one sketch reuse
-// the scratch arenas thousands of times: every program's estimate must
+// leaks into what a compile or an enumeration returns. With the plan
+// cache disabled every PlanQueryText compiles, so two goroutines
+// hammering one sketch, each interleaving interpreter estimates that
+// enumerate in the same pool, reuse the scratch arenas thousands of
+// times: every program's estimate and every interpreter estimate must
 // stay Float64bits-equal to EstimateQuery, and so must the first round's
 // programs, held and re-executed after all the later compiles. An
 // embedding set returned by Embeddings must keep its signatures across
-// 1000 later compiles. Meaningful under -race.
+// 1000 later compiles and enumerations. Meaningful under -race.
 func TestCompileScratchReuse(t *testing.T) {
 	type job struct {
 		sk   *Sketch
@@ -539,6 +541,13 @@ func TestCompileScratchReuse(t *testing.T) {
 					if !check(jobs[j], p) {
 						return
 					}
+					if r%3 == w {
+						got := jobs[j].sk.EstimateQueryResult(p.Query)
+						if math.Float64bits(got.Estimate) != math.Float64bits(jobs[j].want.Estimate) {
+							t.Errorf("%s: interpreter %+v != first EstimateQuery %+v", jobs[j].text, got, jobs[j].want)
+							return
+						}
+					}
 				}
 			}
 			for j, p := range held {
@@ -562,9 +571,11 @@ func TestCompileScratchReuse(t *testing.T) {
 		held, sigs = append(held, ems), append(sigs, s)
 	}
 	for i := 0; i < 1000; i++ {
-		if _, err := xm.PlanQueryText(qs[i%len(qs)].String()); err != nil {
+		q := qs[i%len(qs)]
+		if _, err := xm.PlanQueryText(q.String()); err != nil {
 			t.Fatal(err)
 		}
+		xm.Embeddings(q)
 	}
 	for i, ems := range held {
 		for k, em := range ems {
