@@ -69,8 +69,8 @@ type (
 	// (Sketch.EstimateQueryResult, Sketch.EstimateBatch,
 	// Sketch.EstimatePlanContext, Sketch.EstimateBatchPlannedContext).
 	EstimateResult = core.EstimateResult
-	// EstimatorStats reports the estimation cache's lifetime counters
-	// (Sketch.EstimatorStats, safe to poll while estimation runs).
+	// EstimatorStats reports the estimation memo's lifetime hit and miss
+	// counters (Sketch.EstimatorStats, safe to poll while estimation runs).
 	EstimatorStats = core.EstimatorStats
 	// BuildOptions configures the XBUILD construction algorithm.
 	BuildOptions = build.Options

@@ -23,18 +23,13 @@ import (
 const benchTracingQuery = "for t0 in //item, t1 in t0/name, t2 in t0/incategory"
 
 // newTracingBench builds the XMark sketch the tracing benchmarks share.
-// Caching is disabled so every iteration pays full estimation cost
-// (otherwise all variants converge to cache-hit latency); the cached
-// variant builds its own cache-enabled sketch.
-func newTracingBench(tb testing.TB, cached bool) (*xsketch.Sketch, *xsketch.Query) {
+func newTracingBench(tb testing.TB) (*xsketch.Sketch, *xsketch.Query) {
 	tb.Helper()
 	doc, err := xsketch.GenerateDataset("xmark", 1, 0.02)
 	if err != nil {
 		tb.Fatalf("GenerateDataset: %v", err)
 	}
-	cfg := xsketch.DefaultSketchConfig()
-	cfg.DisableEstimatorCache = !cached
-	sk := xsketch.NewSketch(doc, cfg)
+	sk := xsketch.NewSketch(doc, xsketch.DefaultSketchConfig())
 	q, err := xsketch.ParseQuery(benchTracingQuery)
 	if err != nil {
 		tb.Fatalf("ParseQuery: %v", err)
@@ -42,30 +37,40 @@ func newTracingBench(tb testing.TB, cached bool) (*xsketch.Sketch, *xsketch.Quer
 	return sk, q
 }
 
+// cold returns a clone of sk with the benchmark timer stopped. A clone
+// shares the synopsis and summaries but starts with an empty estimator
+// memo, so an estimate on it pays full cost (otherwise every variant
+// converges to memo-hit latency).
+func cold(b *testing.B, sk *xsketch.Sketch) *xsketch.Sketch {
+	b.StopTimer()
+	defer b.StartTimer()
+	return sk.Clone()
+}
+
 func BenchmarkTracingUntraced(b *testing.B) {
-	sk, q := newTracingBench(b, false)
+	sk, q := newTracingBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk.EstimateQuery(q)
+		cold(b, sk).EstimateQuery(q)
 	}
 }
 
 func BenchmarkTracingTraced(b *testing.B) {
-	sk, q := newTracingBench(b, false)
+	sk, q := newTracingBench(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := xsketch.NewTraceRecorder(xsketch.TraceOptions{})
-		if _, err := sk.EstimateQueryTraced(ctx, q, rec); err != nil {
+		if _, err := cold(b, sk).EstimateQueryTraced(ctx, q, rec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkTracingCached(b *testing.B) {
-	sk, q := newTracingBench(b, true)
+	sk, q := newTracingBench(b)
 	sk.EstimateQuery(q) // warm the estimator cache
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -84,35 +89,41 @@ func BenchmarkTracingCached(b *testing.B) {
 // The two sides are timed as interleaved pairs (untraced batch, then
 // disabled batch) so a burst of host noise lands on both sides rather
 // than on whichever side happened to be running, and each side keeps the
-// minimum over all its batches.
+// minimum over all its batches. Every estimate runs on its own clone,
+// made before the batch's clock starts, so each pays full estimation
+// cost rather than memo-hit latency.
 func TestTracingDisabledOverheadWithinNoise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
-	sk, q := newTracingBench(t, false)
+	sk, q := newTracingBench(t)
 	ctx := context.Background()
 	const (
 		iters = 60
 		pairs = 25
 	)
 
-	timeBatch := func(f func()) time.Duration {
+	clones := make([]*xsketch.Sketch, iters)
+	timeBatch := func(f func(*xsketch.Sketch)) time.Duration {
+		for i := range clones {
+			clones[i] = sk.Clone()
+		}
 		start := time.Now()
-		for i := 0; i < iters; i++ {
-			f()
+		for _, c := range clones {
+			f(c)
 		}
 		return time.Since(start)
 	}
 
 	// Warm up both paths once before timing.
-	sk.EstimateQuery(q)
-	sk.EstimateQueryTraced(ctx, q, nil)
+	sk.Clone().EstimateQuery(q)
+	sk.Clone().EstimateQueryTraced(ctx, q, nil)
 
 	untraced := time.Duration(1<<63 - 1)
 	disabled := untraced
 	for p := 0; p < pairs; p++ {
-		untraced = min(untraced, timeBatch(func() { sk.EstimateQuery(q) }))
-		disabled = min(disabled, timeBatch(func() { sk.EstimateQueryTraced(ctx, q, nil) }))
+		untraced = min(untraced, timeBatch(func(c *xsketch.Sketch) { c.EstimateQuery(q) }))
+		disabled = min(disabled, timeBatch(func(c *xsketch.Sketch) { c.EstimateQueryTraced(ctx, q, nil) }))
 	}
 	// The minimum over 25 interleaved batches is stable enough that 1.5x
 	// headroom means "within noise" rather than "within a constant factor".

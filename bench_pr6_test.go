@@ -22,17 +22,18 @@ import (
 // the tracing-bench fixture (same dataset, scale and query as
 // BENCH_PR5.json so the files are comparable).
 func newPlanBench(tb testing.TB) (*xsketch.Sketch, *xsketch.Query) {
-	return newTracingBench(tb, true)
+	return newTracingBench(tb)
 }
 
-// BenchmarkPlanUncached is the interpreter with the estimator cache off —
-// the same baseline BENCH_PR5.json calls "untraced".
+// BenchmarkPlanUncached is the interpreter on a cold estimator memo (a
+// fresh clone per estimate) — the same baseline BENCH_PR5.json calls
+// "untraced".
 func BenchmarkPlanUncached(b *testing.B) {
-	sk, q := newTracingBench(b, false)
+	sk, q := newTracingBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk.EstimateQuery(q)
+		cold(b, sk).EstimateQuery(q)
 	}
 }
 

@@ -204,15 +204,12 @@ func BenchmarkEstimateQuery(b *testing.B) {
 	}
 }
 
-// benchXMarkEstimation builds a coarsest XMark synopsis (optionally with
-// the estimation cache disabled) and a 50-query P+V workload for the
-// batch-estimation benchmarks.
-func benchXMarkEstimation(b *testing.B, disableCache bool) (*xsketch.Sketch, []*twig.Query) {
+// benchXMarkEstimation builds a coarsest XMark synopsis and a 50-query
+// P+V workload for the batch-estimation benchmarks.
+func benchXMarkEstimation(b *testing.B) (*xsketch.Sketch, []*twig.Query) {
 	b.Helper()
 	d := xmlgen.XMark(xmlgen.Config{Seed: 1, Scale: 0.05})
-	cfg := xsketch.DefaultConfig()
-	cfg.DisableEstimatorCache = disableCache
-	sk := xsketch.New(d, cfg)
+	sk := xsketch.New(d, xsketch.DefaultConfig())
 	wcfg := workload.DefaultConfig(workload.KindPV)
 	wcfg.NumQueries = 50
 	w := workload.Generate(d, wcfg)
@@ -224,13 +221,14 @@ func benchXMarkEstimation(b *testing.B, disableCache bool) (*xsketch.Sketch, []*
 }
 
 // BenchmarkEstimateWorkloadSequentialUncached is the baseline the batch
-// engine is measured against: one query at a time, no memoization.
+// engine is measured against: one query at a time, each on a cold
+// estimator memo.
 func BenchmarkEstimateWorkloadSequentialUncached(b *testing.B) {
-	sk, qs := benchXMarkEstimation(b, true)
+	sk, qs := benchXMarkEstimation(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range qs {
-			sk.EstimateQuery(q)
+			cold(b, sk).EstimateQuery(q)
 		}
 	}
 }
@@ -238,7 +236,7 @@ func BenchmarkEstimateWorkloadSequentialUncached(b *testing.B) {
 // BenchmarkEstimateWorkloadBatchCachedSerial isolates the cache's effect:
 // same single-threaded execution, memoized expansion and exists-fractions.
 func BenchmarkEstimateWorkloadBatchCachedSerial(b *testing.B) {
-	sk, qs := benchXMarkEstimation(b, false)
+	sk, qs := benchXMarkEstimation(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sk.EstimateBatch(qs, 1)
@@ -248,7 +246,7 @@ func BenchmarkEstimateWorkloadBatchCachedSerial(b *testing.B) {
 // BenchmarkEstimateWorkloadBatchCached is the full batch path: worker pool
 // (GOMAXPROCS) plus the shared per-sketch cache.
 func BenchmarkEstimateWorkloadBatchCached(b *testing.B) {
-	sk, qs := benchXMarkEstimation(b, false)
+	sk, qs := benchXMarkEstimation(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sk.EstimateBatch(qs, 0)

@@ -364,6 +364,47 @@ func TestDecodeFailureModes(t *testing.T) {
 	})
 }
 
+// TestRetiredCacheFlagIgnored pins the config byte that used to hold the
+// estimator-cache switch: a file written with it set still decodes, its
+// estimates match the same file with the byte clear, and re-encoding
+// writes the byte as 0 again.
+func TestRetiredCacheFlagIgnored(t *testing.T) {
+	sk, queries := buildFixture(t, "xmark", 0.01, 8*1024, false)
+	buf, err := EncodeBytes(sk)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	// The flag follows the stats prologue (3 u32 + 2 u64) and the config
+	// fields before it (2 i64, 2 bools, 2 i64).
+	const off = headerSize + 3*4 + 2*8 + 2*8 + 2 + 2*8
+	if buf[off] != 0 {
+		t.Fatalf("encoder wrote retired cache flag %d, want 0", buf[off])
+	}
+	set := bytes.Clone(buf)
+	set[off] = 1
+	rechecksum(set)
+	want, _, err := Decode(bytes.NewReader(buf))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	got, _, err := Decode(bytes.NewReader(set))
+	if err != nil {
+		t.Fatalf("decode with cache flag set: %v", err)
+	}
+	for i, q := range queries {
+		if w, g := want.EstimateQuery(q), got.EstimateQuery(q); math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("query %d: flag clear %v, flag set %v", i, w, g)
+		}
+	}
+	again, err := EncodeBytes(got)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if !bytes.Equal(again, buf) {
+		t.Fatalf("re-encoding a flag-set file does not reproduce the flag-clear bytes")
+	}
+}
+
 // TestOpenRejectsNonCatalogFile: Open is the only loader for a synopsis
 // file, so anything that is not a catalog file must fail with ErrMagic
 // rather than decode into a sketch, while a real catalog file opens.

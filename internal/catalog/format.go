@@ -194,7 +194,7 @@ func appendConfig(buf []byte, cfg xsketch.Config) []byte {
 	buf = appendBool(buf, cfg.StoreEdgeCounts)
 	buf = appendI64(buf, int64(cfg.MaxDescendantPathLen))
 	buf = appendI64(buf, int64(cfg.MaxEmbeddings))
-	buf = appendBool(buf, cfg.DisableEstimatorCache)
+	buf = append(buf, 0) // retired estimator-cache flag, kept for layout
 	buf = appendI64(buf, int64(cfg.PlanCacheSize))
 	buf = appendI64(buf, int64(cfg.SizeModel.NodeBytes))
 	buf = appendI64(buf, int64(cfg.SizeModel.EdgeBytes))
@@ -425,7 +425,7 @@ func decodeConfig(r *histogram.ByteReader) xsketch.Config {
 	cfg.StoreEdgeCounts = r.Byte("config edge-count flag") != 0
 	cfg.MaxDescendantPathLen = int(r.I64("config descendant path bound"))
 	cfg.MaxEmbeddings = int(r.I64("config embedding bound"))
-	cfg.DisableEstimatorCache = r.Byte("config cache flag") != 0
+	r.Byte("config cache flag") // retired; written as 0, ignored on read
 	cfg.PlanCacheSize = int(r.I64("config plan cache size"))
 	cfg.SizeModel.NodeBytes = int(r.I64("size-model node bytes"))
 	cfg.SizeModel.EdgeBytes = int(r.I64("size-model edge bytes"))

@@ -269,8 +269,7 @@ func (p *parser) parseBracket(step *Step) (*Path, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.restrict(step, v)
-		return nil, nil
+		return nil, p.restrict(step, v)
 	}
 	// Branching predicate: a relative path, possibly with a trailing
 	// comparison applied to the final step.
@@ -283,20 +282,29 @@ func (p *parser) parseBracket(step *Step) (*Path, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.restrict(branch.Steps[len(branch.Steps)-1], v)
+		if err := p.restrict(branch.Steps[len(branch.Steps)-1], v); err != nil {
+			return nil, err
+		}
 	}
 	return branch, nil
 }
 
 // restrict applies value predicate v to step, intersecting it with the
-// step's existing predicate.
-func (p *parser) restrict(step *Step, v ValuePred) {
-	if step.Value != nil {
-		*step.Value = intersect(*step.Value, v)
-		return
+// step's existing predicate. An empty intersection is rejected like an
+// empty =lo:hi range: it would render as exactly such a range, which
+// Parse refuses.
+func (p *parser) restrict(step *Step, v ValuePred) error {
+	if step.Value == nil {
+		step.Value = take(&p.sl.values)
+		*step.Value = v
+		return nil
 	}
-	step.Value = take(&p.sl.values)
+	v.Lo, v.Hi = max(v.Lo, step.Value.Lo), min(v.Hi, step.Value.Hi)
+	if v.Hi < v.Lo {
+		return p.errorf("empty range %d:%d", v.Lo, v.Hi)
+	}
 	*step.Value = v
+	return nil
 }
 
 // parseComparison parses >N, >=N, <N, <=N, =N or =N:M (inclusive range).
@@ -363,15 +371,4 @@ func (p *parser) parseInt() (int64, error) {
 		return 0, p.errorf("bad integer %q: %v", p.src[start:p.pos], err)
 	}
 	return n, nil
-}
-
-func intersect(a, b ValuePred) ValuePred {
-	out := a
-	if b.Lo > out.Lo {
-		out.Lo = b.Lo
-	}
-	if b.Hi < out.Hi {
-		out.Hi = b.Hi
-	}
-	return out
 }

@@ -154,6 +154,18 @@ func TestParseValuePredIntersection(t *testing.T) {
 	if v.Lo != 1991 || v.Hi != 1999 {
 		t.Fatalf("intersected value = %+v", v)
 	}
+	// An empty intersection would render as an empty =lo:hi range, which
+	// Parse rejects, so it is rejected with the same error at the
+	// predicate that empties it.
+	for src, want := range map[string]string{
+		"0[>0][=0]":   `pathexpr: at offset 8 of "0[>0][=0]": empty range 1:0`,
+		"//a[>5][<3]": `pathexpr: at offset 10 of "//a[>5][<3]": empty range 6:2`,
+		"a[b[>5]<3]":  `pathexpr: at offset 9 of "a[b[>5]<3]": empty range 6:2`,
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) error = %v, want %s", src, err, want)
+		}
+	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -134,8 +134,8 @@ type Program struct {
 	// stale program can be recompiled without reparsing.
 	Query *twig.Query
 	// Generation is the sketch mutation epoch the program was compiled
-	// under (EstimatorStats.Generation); a mismatch marks the program
-	// stale.
+	// under (the counter every sketch mutation advances); a mismatch
+	// marks the program stale.
 	Generation uint64
 	// Truncated reports that embedding enumeration hit the sketch's
 	// MaxEmbeddings bound, exactly as EstimateQueryResult would report it.

@@ -248,10 +248,9 @@ type sketchInfo struct {
 
 // estimatorInfo is a sketch's estimation-cache snapshot in JSON form.
 type estimatorInfo struct {
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Evictions uint64  `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
+	Hits    uint64  `json:"hits"`
+	Misses  uint64  `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
 }
 
 func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
@@ -268,10 +267,9 @@ func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) {
 			SizeBytes: st.sizeBytes,
 			Swaps:     e.swaps.Load(),
 			Estimator: estimatorInfo{
-				Hits:      cs.Hits,
-				Misses:    cs.Misses,
-				Evictions: cs.Evictions,
-				HitRate:   cs.HitRate(),
+				Hits:    cs.Hits,
+				Misses:  cs.Misses,
+				HitRate: cs.HitRate(),
 			},
 		})
 	}

@@ -79,8 +79,6 @@ func newMetrics(reg *obs.Registry, s *Server) *metrics {
 		"Estimator-cache hits per served sketch (lifetime of the sketch).", "counter")
 	misses := reg.NewFuncFamily("xserve_sketch_cache_misses_total",
 		"Estimator-cache misses per served sketch.", "counter")
-	evictions := reg.NewFuncFamily("xserve_sketch_cache_evictions_total",
-		"Estimator-cache entries dropped by invalidation per served sketch.", "counter")
 	ratio := reg.NewFuncFamily("xserve_sketch_cache_hit_ratio",
 		"Estimator-cache hits / lookups per served sketch.", "gauge")
 	size := reg.NewFuncFamily("xserve_sketch_size_bytes",
@@ -102,7 +100,6 @@ func newMetrics(reg *obs.Registry, s *Server) *metrics {
 		e := s.entries[name]
 		hits.Attach(func() float64 { return float64(e.state.Load().sk.EstimatorStats().Hits) }, "sketch", name)
 		misses.Attach(func() float64 { return float64(e.state.Load().sk.EstimatorStats().Misses) }, "sketch", name)
-		evictions.Attach(func() float64 { return float64(e.state.Load().sk.EstimatorStats().Evictions) }, "sketch", name)
 		ratio.Attach(func() float64 { return e.state.Load().sk.EstimatorStats().HitRate() }, "sketch", name)
 		size.Attach(func() float64 { return float64(e.state.Load().sizeBytes) }, "sketch", name)
 		planHits.Attach(func() float64 { return float64(e.state.Load().sk.PlanCacheStats().Hits) }, "sketch", name)

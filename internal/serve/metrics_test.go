@@ -31,7 +31,6 @@ var documentedSeries = map[string]string{
 	"xserve_trace_events_total":                "counter",
 	"xserve_sketch_cache_hits_total":           "counter",
 	"xserve_sketch_cache_misses_total":         "counter",
-	"xserve_sketch_cache_evictions_total":      "counter",
 	"xserve_sketch_cache_hit_ratio":            "gauge",
 	"xserve_sketch_plan_cache_hits_total":      "counter",
 	"xserve_sketch_plan_cache_misses_total":    "counter",

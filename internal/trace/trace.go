@@ -107,13 +107,16 @@ const (
 	EventMaxEmbeddings = "max-embeddings"
 )
 
-// Estimator-cache outcomes attached to memoized terms and events.
+// Estimator-memo outcomes attached to memoized terms and events
+// (expansions and exists-fractions).
 const (
 	// CacheHit marks a term served from the per-sketch memo tables.
 	CacheHit = "hit"
 	// CacheMiss marks a term computed and inserted into the memo tables.
 	CacheMiss = "miss"
-	// CacheOff marks a term computed with the estimator cache disabled.
+	// CacheOff marks a memoized kind of term that bypassed the memo: an
+	// empty branch (probability 1) or a value past the recursion-depth
+	// guard, which is never stored.
 	CacheOff = "off"
 )
 

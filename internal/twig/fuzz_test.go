@@ -22,6 +22,8 @@ var parseErrorSeeds = []string{
 	"t0 in a, , t1 in t0/b",     // empty binding
 	"t0 in a, t1 in t0/b[>bad]", // path error propagates
 	"t0 in //a\xffb",            // invalid UTF-8 ends a label
+	"t0 in 0[>0][=0]",           // empty value-predicate intersection
+	"t0 in a, t1 in t0//a[>5][<3]",
 }
 
 // FuzzParse checks that the twig parser never panics; that it agrees with

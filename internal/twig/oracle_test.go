@@ -275,13 +275,7 @@ func (p *oracleParser) parseBracket(step *pathexpr.Step) error {
 		if err != nil {
 			return err
 		}
-		if step.Value != nil {
-			merged := oracleIntersect(*step.Value, v)
-			step.Value = &merged
-		} else {
-			step.Value = &v
-		}
-		return nil
+		return p.restrict(step, v)
 	}
 	branch, err := p.parsePath()
 	if err != nil {
@@ -292,12 +286,8 @@ func (p *oracleParser) parseBracket(step *pathexpr.Step) error {
 		if err != nil {
 			return err
 		}
-		last := branch.Steps[len(branch.Steps)-1]
-		if last.Value != nil {
-			merged := oracleIntersect(*last.Value, v)
-			last.Value = &merged
-		} else {
-			last.Value = &v
+		if err := p.restrict(branch.Steps[len(branch.Steps)-1], v); err != nil {
+			return err
 		}
 	}
 	step.Branches = append(step.Branches, branch)
@@ -368,13 +358,20 @@ func (p *oracleParser) parseInt() (int64, error) {
 	return n, nil
 }
 
-func oracleIntersect(a, b pathexpr.ValuePred) pathexpr.ValuePred {
-	out := a
-	if b.Lo > out.Lo {
-		out.Lo = b.Lo
+// restrict intersects v into step's value predicate, rejecting an empty
+// intersection like an empty =lo:hi range.
+func (p *oracleParser) restrict(step *pathexpr.Step, v pathexpr.ValuePred) error {
+	if step.Value != nil {
+		if step.Value.Lo > v.Lo {
+			v.Lo = step.Value.Lo
+		}
+		if step.Value.Hi < v.Hi {
+			v.Hi = step.Value.Hi
+		}
+		if v.Hi < v.Lo {
+			return p.errorf("empty range %d:%d", v.Lo, v.Hi)
+		}
 	}
-	if b.Hi < out.Hi {
-		out.Hi = b.Hi
-	}
-	return out
+	step.Value = &v
+	return nil
 }

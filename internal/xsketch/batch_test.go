@@ -206,30 +206,56 @@ func TestEstimatorStatsAndInvalidation(t *testing.T) {
 	if st.Misses == 0 || st.Hits == 0 {
 		t.Fatalf("stats after repeated estimation: %+v, want hits and misses", st)
 	}
-	// Refinement invalidates: the rebuilt node's cache entries are dropped
-	// and re-estimation reproduces the same value from scratch.
+	// Refinement invalidates: the generation advances, the memo is dropped
+	// (re-estimation misses again) and the same value is reproduced from
+	// scratch. The counters survive invalidation.
+	gen := sk.generation()
 	sk.RebuildNode(synNode(t, sk, "author"))
-	if got := sk.EstimatorStats(); got.Evictions == 0 {
-		t.Fatalf("stats after RebuildNode: %+v, want evictions > 0", got)
+	if g := sk.generation(); g != gen+1 {
+		t.Fatalf("generation after RebuildNode = %d, want %d", g, gen+1)
 	}
-	approx(t, sk.EstimateQuery(q), before, 1e-12, "estimate after invalidation")
+	if got := sk.EstimatorStats(); got != st {
+		t.Fatalf("RebuildNode changed the counters: %+v -> %+v", st, got)
+	}
+	if got := sk.EstimateQuery(q); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("estimate after invalidation = %v, want %v", got, before)
+	}
+	if got := sk.EstimatorStats(); got.Misses <= st.Misses {
+		t.Fatalf("re-estimation after RebuildNode did not miss: %+v -> %+v", st, got)
+	}
 }
 
-func TestDisableEstimatorCacheParity(t *testing.T) {
-	d, qs := xmarkQueries(25)
-	cached := New(d, DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.DisableEstimatorCache = true
-	uncached := New(d, cfg)
-	for i, q := range qs {
-		c := cached.EstimateQuery(q)
-		u := uncached.EstimateQuery(q)
-		if math.Float64bits(c) != math.Float64bits(u) {
-			t.Errorf("query %d: cached %v != uncached %v", i, c, u)
-		}
-	}
-	if st := uncached.EstimatorStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("disabled cache recorded activity: %+v", st)
+// TestColdWarmEstimateParity checks that the memo never changes an
+// estimate: on a P+V workload over every dataset, each query estimated on
+// a fresh Clone (whose memo is empty) equals, bit for bit, the same query
+// estimated on a sketch whose memo the whole workload has already warmed.
+func TestColdWarmEstimateParity(t *testing.T) {
+	for _, name := range xmlgen.AllNames() {
+		t.Run(name, func(t *testing.T) {
+			d := xmlgen.Generate(name, xmlgen.Config{Seed: 1, Scale: 0.02})
+			cfg := workload.DefaultConfig(workload.KindPV)
+			cfg.NumQueries = 25
+			cfg.Seed = 3
+			w := workload.Generate(d, cfg)
+			warm := New(d, DefaultConfig())
+			for _, q := range w.Queries {
+				warm.EstimateQuery(q.Twig)
+			}
+			if st := warm.EstimatorStats(); st.Hits == 0 {
+				t.Fatalf("warm-up recorded no hits: %+v", st)
+			}
+			for i, q := range w.Queries {
+				got := warm.EstimateQuery(q.Twig)
+				cold := warm.Clone()
+				want := cold.EstimateQuery(q.Twig)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("query %d %q: warm %v != cold %v", i, q.Twig, got, want)
+				}
+				if st := cold.EstimatorStats(); st.Misses == 0 {
+					t.Fatalf("query %d: clone's memo was not cold: %+v", i, st)
+				}
+			}
+		})
 	}
 }
 
@@ -237,12 +263,12 @@ func TestExistsFractionDepthGuard(t *testing.T) {
 	sk := bibSketch(t)
 	id := synNode(t, sk, "author")
 	steps := pathexpr.MustParse("paper/title").Steps
-	if v, clean := sk.existsFraction(id, steps, maxExistsDepth+1); v != 0 || clean {
+	if v, clean, _ := sk.existsFraction(id, steps, maxExistsDepth+1); v != 0 || clean {
 		t.Fatalf("past guard: got (%v, %v), want (0, false)", v, clean)
 	}
 	// Guarded results must not be cached: the same lookup at depth 0 still
 	// computes the real value.
-	if v, clean := sk.existsFraction(id, steps, 0); v <= 0 || !clean {
+	if v, clean, _ := sk.existsFraction(id, steps, 0); v <= 0 || !clean {
 		t.Fatalf("after guarded call: got (%v, %v), want positive and clean", v, clean)
 	}
 }

@@ -158,7 +158,7 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 			uses = append(uses, u)
 			continue
 		}
-		v, outcome := e.existsFraction(n.Syn, br.Steps)
+		v, _, outcome := e.sk.existsFraction(n.Syn, br.Steps, 0)
 		if first {
 			tn.Terms = append(tn.Terms, trace.Term{
 				Kind:       trace.TermExistsFraction,
@@ -245,14 +245,13 @@ func (e *estimator) contrib(n *EmbNode, assigned assignment, skipSelfValue bool,
 
 	uncMult := 1.0
 	for _, c := range uncovered {
-		v, outcome := e.avgCount(n.Syn, c.child.Syn)
+		v := e.sk.avgCount(n.Syn, c.child.Syn)
 		if first {
 			tn.Terms = append(tn.Terms, trace.Term{
 				Kind:       trace.TermAvgCount,
 				Detail:     fmt.Sprintf("%d->%d", n.Syn, c.child.Syn),
 				Value:      v,
 				Assumption: trace.AssumptionFU,
-				Cache:      outcome,
 			})
 		}
 		uncMult *= v
@@ -426,19 +425,6 @@ func (e *estimator) valueFraction(n *EmbNode) float64 {
 	return e.sk.valueFraction(n.Syn, n.Value)
 }
 
-// existsFraction delegates to the memoized sketch-level form, returning
-// the estimator-cache outcome alongside the value for trace terms.
-func (e *estimator) existsFraction(id graphsyn.NodeID, steps []*pathexpr.Step) (float64, string) {
-	v, _, outcome := e.sk.existsFractionOutcome(id, steps, 0)
-	return v, outcome
-}
-
-// avgCount delegates to the sketch-level form, returning the
-// estimator-cache outcome alongside the value for trace terms.
-func (e *estimator) avgCount(u, v graphsyn.NodeID) (float64, string) {
-	return e.sk.avgCountOutcome(u, v)
-}
-
 // valueFraction estimates the fraction of the synopsis node's elements
 // satisfying the value predicate, using the stored value histogram scaled
 // by the share of valued elements; a predicate on a node with no value
@@ -479,7 +465,8 @@ func (sk *Sketch) existsFractionUncached(id graphsyn.NodeID, steps []*pathexpr.S
 	step := steps[0]
 	expected := 0.0
 	clean := true
-	for _, seq := range sk.expandStep(id, step) {
+	seqs, _ := sk.expandStep(id, step)
+	for _, seq := range seqs {
 		// Probability mass via the chain: expected count of elements at the
 		// end of the sequence, times the probability each satisfies the
 		// step predicates and the rest of the branch.
@@ -489,14 +476,14 @@ func (sk *Sketch) existsFractionUncached(id graphsyn.NodeID, steps []*pathexpr.S
 			q *= sk.valueFraction(target, step.Value)
 		}
 		for _, sub := range step.Branches {
-			v, ok := sk.existsFraction(target, sub.Steps, depth+1)
+			v, ok, _ := sk.existsFraction(target, sub.Steps, depth+1)
 			q *= v
 			clean = clean && ok
 		}
 		if q == 0 {
 			continue
 		}
-		v, ok := sk.existsFraction(target, steps[1:], depth+1)
+		v, ok, _ := sk.existsFraction(target, steps[1:], depth+1)
 		q *= v
 		clean = clean && ok
 		if q == 0 {
@@ -528,26 +515,18 @@ func (sk *Sketch) existsFractionUncached(id graphsyn.NodeID, steps []*pathexpr.S
 // parent nodes proportionally to their extent sizes (the single-path
 // XSKETCH estimate for unstable edges).
 func (sk *Sketch) avgCount(u, v graphsyn.NodeID) float64 {
-	c, _ := sk.avgCountOutcome(u, v)
-	return c
-}
-
-// avgCountOutcome is avgCount plus the estimator-cache outcome of the
-// underlying edge-count lookup, for trace terms.
-func (sk *Sketch) avgCountOutcome(u, v graphsyn.NodeID) (float64, string) {
 	sk.readStructure(u)
 	cu := float64(sk.Syn.Node(u).Count())
 	if cu == 0 {
-		return 0, trace.CacheOff
+		return 0
 	}
-	cnt, outcome := sk.estEdgeCountOutcome(u, v)
-	return cnt / cu, outcome
+	return sk.estEdgeCount(u, v) / cu
 }
 
-// estEdgeCountUncached estimates |u -> v|: the number of elements of v
-// whose parent lies in u. estEdgeCount in estcache.go is the memoized
-// entry point.
-func (sk *Sketch) estEdgeCountUncached(u, v graphsyn.NodeID) float64 {
+// estEdgeCount estimates |u -> v|: the number of elements of v whose
+// parent lies in u. It is O(parents of v) with no recursion, so it is
+// not memoized.
+func (sk *Sketch) estEdgeCount(u, v graphsyn.NodeID) float64 {
 	sk.readStructure(u)
 	edge := sk.Syn.Edge(u, v)
 	if edge == nil {

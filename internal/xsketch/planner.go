@@ -27,9 +27,9 @@ import (
 // slabs (allocations capped by TestPlanCompileAllocs and
 // TestPlanQueryTextMissAllocs in the root package).
 //
-// Invalidation rides on the estimator-cache generation (estcache.go):
+// Invalidation rides on the sketch's mutation generation (estcache.go):
 // every program records the generation it was compiled under, every
-// mutation advances the generation via InvalidateEstimatorCache, and both
+// mutation advances the generation via invalidateEstimatorCache, and both
 // the cache lookups and EstimatePlanContext discard or recompile programs
 // whose generation no longer matches. A stale plan can therefore never
 // contribute a single term to an estimate.
@@ -462,7 +462,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 			sc.uses = append(sc.uses, plan.Use{Dim: u.dim, Overlap: u.vd, Pred: u.pred, CountDim: u.countDim})
 			continue
 		}
-		v, _ := pc.est.existsFraction(n.Syn, br.Steps)
+		v, _, _ := sk.existsFraction(n.Syn, br.Steps, 0)
 		factor *= v
 	}
 
@@ -524,8 +524,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 
 	unc := 1.0
 	for _, c := range uncovered {
-		v, _ := pc.est.avgCount(n.Syn, c.child.Syn)
-		unc *= v
+		unc *= sk.avgCount(n.Syn, c.child.Syn)
 	}
 	pn.UncBase = unc
 	if unc == 0 {

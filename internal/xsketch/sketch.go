@@ -82,11 +82,6 @@ type Config struct {
 	// bound is hit, enumeration returns the (truncated) embeddings found so
 	// far and flags the result (see EmbeddingsTruncated, EstimateResult).
 	MaxEmbeddings int
-	// DisableEstimatorCache turns off the per-sketch memo tables for
-	// estimation sub-results (expandStep, estEdgeCount, existsFraction).
-	// Estimates are identical either way; the switch exists for measuring
-	// the cache's effect and as a safety valve.
-	DisableEstimatorCache bool
 	// PlanCacheSize bounds the number of compiled query plans the sketch
 	// retains in its LRU plan cache (see PlanQueryText). 0 selects
 	// DefaultPlanCacheSize; a negative value disables the plan cache, so
@@ -218,7 +213,7 @@ func (sk *Sketch) RebuildNode(id graphsyn.NodeID) {
 	if sk.Syn.Detached() {
 		panic("xsketch: cannot rebuild a detached sketch (loaded without its document)")
 	}
-	sk.InvalidateEstimatorCache()
+	sk.invalidateEstimatorCache()
 	s := sk.ownSummary(id)
 	if s == nil {
 		s = &NodeSummary{
@@ -272,7 +267,7 @@ func (sk *Sketch) SetValueBuckets(id graphsyn.NodeID, units int) bool {
 	if s == nil {
 		return false
 	}
-	sk.InvalidateEstimatorCache()
+	sk.invalidateEstimatorCache()
 	s.ValueBuckets = units
 	sk.rebuildValueSummary(id, s)
 	return true

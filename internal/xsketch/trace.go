@@ -76,10 +76,11 @@ func (sk *Sketch) estimateEmbeddingTraced(em *Embedding, rec *trace.Recorder) fl
 // expansion event when a recorder is attached.
 func (sk *Sketch) expandStepTraced(ctx graphsyn.NodeID, step *pathexpr.Step, rec *trace.Recorder) [][]graphsyn.NodeID {
 	if rec == nil {
-		return sk.expandStep(ctx, step)
+		seqs, _ := sk.expandStep(ctx, step)
+		return seqs
 	}
 	rec.BeginStage(trace.StageExpand)
-	seqs, outcome := sk.expandStepOutcome(ctx, step)
+	seqs, outcome := sk.expandStep(ctx, step)
 	rec.EndStage(trace.StageExpand)
 	rec.Event(trace.Event{
 		Kind:   trace.EventExpand,

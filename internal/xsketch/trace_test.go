@@ -3,6 +3,7 @@ package xsketch
 import (
 	"bytes"
 	"context"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -141,7 +142,8 @@ func TestTracedTruncationEvent(t *testing.T) {
 
 // TestTracedCacheOutcomes asserts per-term cache attribution: a cold
 // sketch's first trace records misses, a second identical run records hits
-// on the memoized terms, and a cache-disabled sketch records "off".
+// on the memoized terms, a Clone starts cold again, and the unmemoized
+// avg-count terms carry no outcome.
 func TestTracedCacheOutcomes(t *testing.T) {
 	outcomes := func(sk *Sketch) map[string]bool {
 		q := twig.MustParse("t0 in author, t1 in t0//title, t2 in t0/name")
@@ -161,6 +163,9 @@ func TestTracedCacheOutcomes(t *testing.T) {
 				return
 			}
 			for _, tm := range n.Terms {
+				if tm.Kind == trace.TermAvgCount && tm.Cache != "" {
+					t.Errorf("avg-count term %s carries cache outcome %q", tm.Detail, tm.Cache)
+				}
 				if tm.Cache != "" {
 					seen[tm.Cache] = true
 				}
@@ -185,14 +190,8 @@ func TestTracedCacheOutcomes(t *testing.T) {
 		t.Fatalf("warm run saw no cache hits: %v", second)
 	}
 
-	cfg := exactConfig()
-	cfg.DisableEstimatorCache = true
-	off := outcomes(New(xmltree.Bibliography(), cfg))
-	if off[trace.CacheHit] || off[trace.CacheMiss] {
-		t.Fatalf("cache-disabled run saw hit/miss outcomes: %v", off)
-	}
-	if !off[trace.CacheOff] {
-		t.Fatalf("cache-disabled run recorded no off outcomes: %v", off)
+	if cold := outcomes(sk.Clone()); !maps.Equal(cold, first) {
+		t.Fatalf("clone's run saw %v, want the cold run's %v", cold, first)
 	}
 }
 
