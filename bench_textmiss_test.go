@@ -6,6 +6,7 @@
 package xsketch_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -77,12 +78,12 @@ func BenchmarkPlanQueryTextMiss(b *testing.B) {
 }
 
 // planQueryTextMissAllocsCeiling bounds the mean allocations of one text
-// plan miss over the BenchmarkPlanQueryTextMiss texts. The one-pass parse
-// with pooled compile scratch measures 13.00 with Go 1.24 (the two-pass
-// parse and throwaway embedding trees it replaced made 76); the ceiling
-// leaves a little room for runtime differences and for the scratch the
-// pool drops, which the race detector does at random.
-const planQueryTextMissAllocsCeiling = 15
+// plan miss over the BenchmarkPlanQueryTextMiss texts. The flat program
+// layout measures 11.06 with Go 1.24 (13.00 with per-node slices and a
+// tag table; the two-pass parse and throwaway embedding trees before
+// that made 76). Under -race, whose sync.Pool drops puts at random, it
+// measures 12.29; the ceiling is that plus a little under one.
+const planQueryTextMissAllocsCeiling = 13
 
 // TestPlanQueryTextMissAllocs is the allocation gate on text plan misses:
 // the mean allocation count of a cache-disabled PlanQueryText over
@@ -101,5 +102,47 @@ func TestPlanQueryTextMissAllocs(t *testing.T) {
 	t.Logf("%.2f allocations per text plan miss", allocs)
 	if allocs > planQueryTextMissAllocsCeiling {
 		t.Errorf("text plan miss makes %.2f allocations, ceiling %d", allocs, planQueryTextMissAllocsCeiling)
+	}
+}
+
+// planQueryTextMissBytesCeiling bounds the mean bytes allocated by one
+// text plan miss over the BenchmarkPlanQueryTextMiss texts. The flat
+// program layout measures 1663 B with Go 1.24 (3352 B with per-node
+// slices in 224-byte nodes and a tag table); the ceiling is about 10%
+// above that.
+const planQueryTextMissBytesCeiling = 1830
+
+// TestPlanQueryTextMissBytes is the byte gate on text plan misses: the
+// mean bytes a cache-disabled PlanQueryText allocates over batch-wide's
+// texts, read from the runtime's cumulative allocation counter, must stay
+// under planQueryTextMissBytesCeiling. Under the race detector sync.Pool
+// drops puts at random, and each dropped compile scratch would count as
+// several kilobytes of miss, so the gate runs only without it.
+func TestPlanQueryTextMissBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random, inflating allocated bytes")
+	}
+	sk, texts := newTextMissBench(t)
+	pass := func() {
+		for _, text := range texts {
+			p, err := sk.PlanQueryText(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			benchPlanSink = p
+		}
+	}
+	pass() // warm the pools
+	const passes = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(passes*len(texts))
+	t.Logf("%.0f bytes per text plan miss", bytes)
+	if bytes > planQueryTextMissBytesCeiling {
+		t.Errorf("text plan miss allocates %.0f bytes, ceiling %d", bytes, planQueryTextMissBytesCeiling)
 	}
 }

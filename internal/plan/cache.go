@@ -92,24 +92,31 @@ func (c *Cache) Promote(canonical, text string, gen uint64) *Program {
 // Insert stores a freshly compiled program under its canonical form,
 // optionally registering one normalized-text alias, and counts the
 // compilation as a miss. Inserting over an existing canonical entry
-// replaces it (the recompile-after-mutation path); capacity overflow
-// evicts least-recently-used entries.
+// replaces it (the recompile-after-mutation path); on a full cache the
+// least-recently-used entry is evicted. Either way the displaced entry,
+// and its alias list, is reused for the new program, so a miss on a full
+// cache allocates no entry.
 func (c *Cache) Insert(p *Program, text string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.misses++
-	if old := c.entries[p.Canonical]; old != nil {
-		c.remove(old)
+	e := c.entries[p.Canonical]
+	if e == nil && len(c.entries) >= c.cap {
+		e = c.tail
+		c.evictions++
 	}
-	e := &entry{prog: p}
+	if e != nil {
+		c.remove(e)
+		clear(e.aliases)
+		*e = entry{aliases: e.aliases[:0]}
+	} else {
+		e = new(entry)
+	}
+	e.prog = p
 	c.entries[p.Canonical] = e
 	c.pushFront(e)
 	if text != "" {
 		c.addAlias(e, text)
-	}
-	for len(c.entries) > c.cap {
-		c.remove(c.tail)
-		c.evictions++
 	}
 }
 

@@ -88,6 +88,42 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheFullInsertReusesEntry asserts a miss on a full cache reuses
+// the entry it evicts: inserting a new program allocates nothing, the LRU
+// entry and its alias are gone, and the new entry serves both of its keys.
+func TestCacheFullInsertReusesEntry(t *testing.T) {
+	const capacity = 4
+	c := NewCache(capacity)
+	var progs []*Program
+	var aliases []string
+	for i := 0; i < 2*capacity; i++ {
+		progs = append(progs, prog(fmt.Sprintf("q%d", i), 0))
+		aliases = append(aliases, fmt.Sprintf("alias-q%d", i))
+	}
+	for i := 0; i < capacity; i++ {
+		c.Insert(progs[i], aliases[i])
+	}
+	next := capacity
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Insert(progs[next%len(progs)], aliases[next%len(progs)])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("insert into a full cache made %v allocations, want 0", allocs)
+	}
+	last := (next - 1) % len(progs)
+	evicted := (next - 1 - capacity) % len(progs)
+	if c.Lookup(aliases[evicted], 0) != nil || c.Promote(progs[evicted].Canonical, "", 0) != nil {
+		t.Fatalf("evicted entry %q still served", progs[evicted].Canonical)
+	}
+	if c.Lookup(aliases[last], 0) != progs[last] || c.Lookup(progs[last].Canonical, 0) != progs[last] {
+		t.Fatalf("newest entry %q missed", progs[last].Canonical)
+	}
+	if st := c.Stats(); st.Size != capacity || st.Evictions != uint64(next-capacity) {
+		t.Fatalf("stats = %+v, want size %d and %d evictions", st, capacity, next-capacity)
+	}
+}
+
 // TestCacheAliasBound asserts per-entry aliases are capped: unbounded
 // spellings of one query must not grow the alias map without bound.
 func TestCacheAliasBound(t *testing.T) {

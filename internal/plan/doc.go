@@ -8,8 +8,11 @@
 // holds the deduplicated embedding list with, per embedding node, the
 // precomputed TREEPARSE split (covered/uncovered children, ancestor-
 // assigned dimensions), the constant factors (value/existence fractions,
-// Forward Uniformity count products), the interned tag table, and a direct
-// reference to the node's edge histogram. Executing a Program then performs
+// Forward Uniformity count products), and a direct reference to the
+// node's edge histogram. The layout is flat: the nodes live in one array,
+// each node's children in one contiguous run of it, and every node list
+// is an int32 span into one of the program's three arrays (Nodes, Ints,
+// Uses), so a node holds no slices. Executing a Program then performs
 // only histogram lookups and float multiplications — in the identical
 // order as the interpreter, so planned estimates are bit-identical to
 // EstimateQuery (asserted in internal/xsketch's planner tests).

@@ -16,10 +16,11 @@ import (
 // executor switches on a stored tag instead.
 type Mode uint8
 
+// The two constant modes come first: eval tests Mode <= ModeLeaf.
 const (
 	// ModeZero marks a node whose contribution is constant zero: a pruned
 	// predicate factor, a zero Forward-Uniformity count product, or a
-	// missing histogram where one is required.
+	// missing histogram where one is required. Its Factor is 0.
 	ModeZero Mode = iota
 	// ModeLeaf marks a childless node without value-dimension uses; its
 	// contribution is the constant predicate factor.
@@ -59,15 +60,30 @@ type Use struct {
 }
 
 // Node is one compiled embedding node. All fields are fixed at compile
-// time; execution reads them together with the pooled Scratch.
+// time; execution reads them together with the program's flat arrays and
+// the pooled Scratch. A node holds no slices: each of its lists is an
+// int32 span into one of the Program's arrays.
+//
+//   - Index lists: Program.Ints[Ints:], laid out as DDims then DSlots
+//     (NumD entries each), then CovDims then CovSlots (NumCov entries
+//     each; CovSlots only in ModeEnumerated). DDims are the histogram
+//     dimensions assigned by enumerating ancestors (the TREEPARSE D_i
+//     set) in scope order, and DSlots the slots holding their values.
+//     CovDims are the expanded (covered-child) dimensions in child order,
+//     which double as the sum-product dimension list in the factorized
+//     form, and CovSlots the slots each one binds under bucket
+//     enumeration.
+//   - Uses: Program.Uses[Uses : Uses+NumUses], the node's value-dimension
+//     consumptions in the interpreter's evaluation order (self, branches,
+//     then children).
+//   - Children: Program.Nodes[Kids : Kids+NumCov+NumUnc], the NumCov
+//     covered children then the NumUnc uncovered ones, each group in
+//     child order.
 type Node struct {
-	// Syn is the underlying synopsis node (diagnostics only).
-	Syn int
-	// Index is the node's dense index within the Program, addressing its
-	// per-node scratch (histogram match buffer).
-	Index int
-	// Mode selects the execution form.
-	Mode Mode
+	// Hist is the node's edge histogram (shared with the sketch summary;
+	// histograms are immutable, and any rebuild that replaces them also
+	// advances the sketch generation, retiring this plan).
+	Hist *histogram.Histogram
 	// Factor is the constant predicate factor: the product of the node's
 	// independent value fraction and branch existence fractions, exactly
 	// as the interpreter accumulates it.
@@ -75,32 +91,24 @@ type Node struct {
 	// UncBase is the constant Forward-Uniformity product of average child
 	// counts over the uncovered children.
 	UncBase float64
-	// Hist is the node's edge histogram (shared with the sketch summary;
-	// histograms are immutable, and any rebuild that replaces them also
-	// advances the sketch generation, retiring this plan).
-	Hist *histogram.Histogram
-	// CovDims lists the expanded (covered-child) histogram dimensions in
-	// child order; it doubles as the sum-product dimension list in the
-	// factorized form.
-	CovDims []int
-	// CovSlots, parallel to CovDims, gives the slot each expanded
-	// dimension binds under bucket enumeration (ModeEnumerated only).
-	CovSlots []int
-	// DDims lists the histogram dimensions assigned by enumerating
-	// ancestors (the TREEPARSE D_i set), in scope order.
-	DDims []int
-	// DSlots, parallel to DDims, gives the slot holding each assigned
-	// value.
-	DSlots []int
+	// Index is the node's position in Program.Nodes, addressing its
+	// per-node scratch (histogram match buffer).
+	Index int32
 	// DOff is the node's offset into the scratch conditioning-value arena.
-	DOff int
-	// Uses are the node's value-dimension consumptions, in the
-	// interpreter's evaluation order (self, branches, then children).
-	Uses []Use
-	// Covered are the compiled covered children, in child order.
-	Covered []*Node
-	// Uncovered are the compiled uncovered children, in child order.
-	Uncovered []*Node
+	DOff int32
+	// Ints is the start of the node's index lists in Program.Ints.
+	Ints int32
+	// NumD is the number of ancestor-assigned dimensions.
+	NumD int32
+	// NumCov and NumUnc count the covered and uncovered children.
+	NumCov, NumUnc int32
+	// Kids is the position of the node's first child in Program.Nodes.
+	Kids int32
+	// Uses is the start of the node's uses in Program.Uses, NumUses their
+	// count.
+	Uses, NumUses int32
+	// Mode selects the execution form.
+	Mode Mode
 }
 
 // Emb is one compiled embedding: the extent size of the virtual root times
@@ -108,24 +116,16 @@ type Node struct {
 type Emb struct {
 	// Base is the extent size of the embedding's root synopsis node.
 	Base float64
-	// Root is the compiled virtual-root node.
+	// Root is the compiled virtual-root node, an element of Program.Nodes.
 	Root *Node
-}
-
-// Tag is one interned query tag: a step label resolved to its document tag
-// ID at compile time.
-type Tag struct {
-	// Label is the tag's query spelling.
-	Label string
-	// ID is the document's tag identifier, or -1 when the label does not
-	// occur in the document (such steps expand to nothing).
-	ID int
 }
 
 // Program is a compiled, executable form of one twig query against one
 // sketch state. Programs are immutable once compiled and safe for
 // concurrent execution; all mutable state lives in Scratch values drawn
-// from one package-wide pool.
+// from one package-wide pool. A program is flat: its nodes and their
+// lists live in three arrays (Nodes, Ints, Uses) that nodes address by
+// int32 spans.
 type Program struct {
 	// Canonical is the query's canonical rendering (twig.Query.String),
 	// the primary plan-cache key.
@@ -142,9 +142,14 @@ type Program struct {
 	Truncated bool
 	// Embeddings is the deduplicated compiled embedding list.
 	Embeddings []Emb
-	// Tags is the interned tag table of the query's step labels.
-	Tags []Tag
-	// NumNodes is the total compiled node count (scratch sizing).
+	// Nodes holds every compiled node. The embeddings' roots come first,
+	// and each node's children are one contiguous run.
+	Nodes []Node
+	// Ints holds the nodes' index lists, one run per node.
+	Ints []int
+	// Uses holds the nodes' value-dimension uses, one run per node.
+	Uses []Use
+	// NumNodes is the compiled node count, len(Nodes) (scratch sizing).
 	NumNodes int
 	// NumSlots is the number of slot bindings (scratch sizing).
 	NumSlots int
@@ -207,7 +212,7 @@ func (p *Program) EstimateContext(ctx context.Context) (float64, bool, error) {
 			return 0, false, err
 		}
 		em := &p.Embeddings[i]
-		total += em.Base * p.exec(em.Root, s)
+		total += em.Base * p.eval(em.Root, s)
 	}
 	scratchPool.Put(s)
 	return total, p.Truncated, nil
@@ -218,50 +223,80 @@ func (p *Program) NumEmbeddings() int { return len(p.Embeddings) }
 
 // String summarizes the program for diagnostics.
 func (p *Program) String() string {
-	return fmt.Sprintf("plan{%q, %d embedding(s), %d node(s), %d tag(s), gen %d}",
-		p.Canonical, len(p.Embeddings), p.NumNodes, len(p.Tags), p.Generation)
+	return fmt.Sprintf("plan{%q, %d embedding(s), %d node(s), gen %d}",
+		p.Canonical, len(p.Embeddings), p.NumNodes, p.Generation)
 }
 
-// exec evaluates one compiled node. It mirrors the interpreter's contrib
+// eval returns one compiled node's contribution. A constant node
+// (ModeZero or ModeLeaf) is its Factor, read here without a call; exec
+// evaluates the rest. Together they mirror the interpreter's contrib
 // (internal/xsketch/estimate.go) term for term — same multiplication
 // order, same early zero returns — so the result is bit-identical.
 //
 //lint:hotpath per-node execution kernel under EstimateContext
-func (p *Program) exec(n *Node, s *Scratch) float64 {
-	switch n.Mode {
-	case ModeZero:
-		return 0
-	case ModeLeaf:
+func (p *Program) eval(n *Node, s *Scratch) float64 {
+	if n.Mode <= ModeLeaf {
 		return n.Factor
 	}
-	dv := s.dvals[n.DOff : n.DOff+len(n.DDims)]
-	for i, slot := range n.DSlots {
+	return p.exec(n, s)
+}
+
+// exec evaluates a ModeFactorized node — one conditional sum-product,
+// then the children's contributions — and hands a ModeEnumerated node to
+// enumerated.
+//
+//lint:hotpath per-node execution kernel under EstimateContext
+func (p *Program) exec(n *Node, s *Scratch) float64 {
+	if n.Mode == ModeEnumerated {
+		return p.enumerated(n, s)
+	}
+	part := 1.0
+	if n.NumCov > 0 {
+		dDims, dv := p.conds(n, s)
+		at := n.Ints + 2*n.NumD
+		v, buf := n.Hist.CondSumProductInto(s.bufs[n.Index], p.Ints[at:at+n.NumCov], dDims, dv)
+		s.bufs[n.Index] = buf
+		part = v
+	}
+	k, end := n.Kids, n.Kids+n.NumCov
+	for ; k < end; k++ {
+		part *= p.eval(&p.Nodes[k], s)
+		if part == 0 {
+			return 0
+		}
+	}
+	unc := n.UncBase
+	for end += n.NumUnc; k < end; k++ {
+		unc *= p.eval(&p.Nodes[k], s)
+	}
+	return n.Factor * unc * part
+}
+
+// conds fills n's conditioning values from the slots its enumerating
+// ancestors bound and returns the ancestor-assigned dimensions and their
+// values.
+//
+//lint:hotpath per-node execution kernel under EstimateContext
+func (p *Program) conds(n *Node, s *Scratch) ([]int, []float64) {
+	if n.NumD == 0 {
+		return nil, nil
+	}
+	ints := p.Ints[n.Ints : n.Ints+2*n.NumD]
+	dv := s.dvals[n.DOff : n.DOff+n.NumD]
+	for i, slot := range ints[n.NumD:] {
 		dv[i] = s.slots[slot]
 	}
-	if n.Mode == ModeFactorized {
-		part := 1.0
-		if len(n.Covered) > 0 {
-			v, buf := n.Hist.CondSumProductInto(s.bufs[n.Index], n.CovDims, n.DDims, dv)
-			s.bufs[n.Index] = buf
-			part = v
-		}
-		for _, c := range n.Covered {
-			part *= p.exec(c, s)
-			if part == 0 {
-				return 0
-			}
-		}
-		unc := n.UncBase
-		for _, c := range n.Uncovered {
-			unc *= p.exec(c, s)
-		}
-		return n.Factor * unc * part
-	}
+	return ints[:n.NumD], dv
+}
 
-	// ModeEnumerated: iterate bucket choices, binding expanded dims to
-	// slots for conditioned descendants.
-	buckets, denom := n.Hist.MatchInto(s.bufs[n.Index], n.DDims, dv)
-	if len(n.DDims) != 0 {
+// enumerated evaluates a ModeEnumerated node: it iterates bucket
+// choices, binding expanded dims to slots for conditioned descendants.
+//
+//lint:hotpath per-node execution kernel under EstimateContext
+func (p *Program) enumerated(n *Node, s *Scratch) float64 {
+	dDims, dv := p.conds(n, s)
+	buckets, denom := n.Hist.MatchInto(s.bufs[n.Index], dDims, dv)
+	if n.NumD != 0 {
 		// Retain the grown buffer; with no conditioning dims MatchInto
 		// returned the histogram's own buckets, which must not be adopted.
 		s.bufs[n.Index] = buckets
@@ -269,15 +304,21 @@ func (p *Program) exec(n *Node, s *Scratch) float64 {
 	if denom == 0 {
 		return 0
 	}
+	at := n.Ints + 2*n.NumD
+	covDims := p.Ints[at : at+n.NumCov]
+	covSlots := p.Ints[at+n.NumCov : at+2*n.NumCov]
+	uses := p.Uses[n.Uses : n.Uses+n.NumUses]
+	kids := p.Nodes[n.Kids : n.Kids+n.NumCov+n.NumUnc]
+	cov, unc := kids[:n.NumCov], kids[n.NumCov:]
 	total := 0.0
 	for bi := range buckets {
 		b := &buckets[bi]
 		w := b.Freq / denom
-		for _, j := range n.CovDims {
+		for _, j := range covDims {
 			w *= b.Centroid[j]
 		}
-		for ui := range n.Uses {
-			u := &n.Uses[ui]
+		for ui := range uses {
+			u := &uses[ui]
 			ov := u.Overlap.Overlap(b.Centroid[u.Dim], u.Pred)
 			if u.CountDim >= 0 {
 				cnt := b.Centroid[u.CountDim]
@@ -295,18 +336,18 @@ func (p *Program) exec(n *Node, s *Scratch) float64 {
 		if w == 0 {
 			continue
 		}
-		for i, j := range n.CovDims {
-			s.slots[n.CovSlots[i]] = b.Centroid[j]
+		for i, j := range covDims {
+			s.slots[covSlots[i]] = b.Centroid[j]
 		}
-		for _, c := range n.Covered {
-			w *= p.exec(c, s)
+		for i := range cov {
+			w *= p.eval(&cov[i], s)
 			if w == 0 {
 				break
 			}
 		}
 		if w != 0 {
-			for _, c := range n.Uncovered {
-				w *= p.exec(c, s)
+			for i := range unc {
+				w *= p.eval(&unc[i], s)
 				if w == 0 {
 					break
 				}

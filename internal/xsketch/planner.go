@@ -2,10 +2,8 @@ package xsketch
 
 import (
 	"context"
-	"slices"
 	"sync"
 
-	"xsketch/internal/pathexpr"
 	"xsketch/internal/plan"
 	"xsketch/internal/twig"
 )
@@ -195,18 +193,17 @@ func (sk *Sketch) EstimateBatchTextContext(ctx context.Context, texts []string, 
 
 // compileScratch is the pooled working memory of one plan compile: the
 // embedding arena, the compile-time scope-edge bindings, the conditioned
-// edge set, the query's labels, and the per-node lists under
-// construction, which are copied into the program's own memory before the
-// compile returns. Nothing the program keeps points into it.
+// edge set, and the nodes' index and use lists under construction, which
+// are copied into the program's own memory before the compile returns.
+// Nothing the program keeps points into it.
 type compileScratch struct {
 	emb     embArena
 	env     []binding
 	condSet []ScopeEdge
-	labels  []string
-	// dims holds DDims then CovDims of each node, slots DSlots then
-	// CovSlots, uses its Uses.
-	dims, slots []int
-	uses        []plan.Use
+	// ints and uses become the program's Ints and Uses: each compiled
+	// node appends its runs (see plan.Node) before its children compile.
+	ints []int
+	uses []plan.Use
 	// first holds the first chunk of every list, sized for a typical
 	// compile, so a fresh scratch (the pool drops its contents at garbage
 	// collection) is one allocation; a larger compile grows the lists.
@@ -218,9 +215,7 @@ type compileScratch struct {
 		chains  [16][]link
 		env     [16]binding
 		condSet [16]ScopeEdge
-		labels  [16]string
-		dims    [32]int
-		slots   [32]int
+		ints    [64]int
 		uses    [8]plan.Use
 	}
 }
@@ -245,8 +240,8 @@ func newCompileScratch() *compileScratch {
 	f := &s.first
 	s.emb.nodes, s.emb.ptrs, s.emb.links = f.nodes[:0], f.ptrs[:0], f.links[:0]
 	s.emb.alts, s.emb.chains = f.alts[:0], f.chains[:0]
-	s.env, s.condSet, s.labels = f.env[:0], f.condSet[:0], f.labels[:0]
-	s.dims, s.slots, s.uses = f.dims[:0], f.slots[:0], f.uses[:0]
+	s.env, s.condSet = f.env[:0], f.condSet[:0]
+	s.ints, s.uses = f.ints[:0], f.uses[:0]
 	return s
 }
 
@@ -255,9 +250,7 @@ func (s *compileScratch) reset() {
 	s.emb.reset()
 	s.env = truncate(s.env, arenaLimit)
 	s.condSet = truncate(s.condSet, arenaLimit)
-	s.labels = truncate(s.labels, arenaLimit)
-	s.dims = truncate(s.dims, arenaLimit)
-	s.slots = truncate(s.slots, arenaLimit)
+	s.ints = truncate(s.ints, arenaLimit)
 	s.uses = truncate(s.uses, arenaLimit)
 }
 
@@ -278,110 +271,45 @@ func (sk *Sketch) compileProgram(q *twig.Query, canonical string, gen uint64) *p
 // program gets a few allocations sized to what it keeps.
 func (s *compileScratch) compile(sk *Sketch, q *twig.Query, canonical string, gen uint64) *plan.Program {
 	roots, truncated := sk.enumerate(&s.emb, q, nil)
+	// Every compiled node comes from one slab sized by the embedding node
+	// count (pruned subtrees leave it short). The roots take its front.
+	n := 0
+	for _, r := range roots {
+		n += countEmbNodes(r) // the virtual root compiles too
+	}
 	p := &plan.Program{
 		Canonical:  canonical,
 		Query:      q,
 		Generation: gen,
 		Truncated:  truncated,
-		Tags:       sk.internTags(s, q),
-		Embeddings: make([]plan.Emb, 0, len(roots)),
+		Embeddings: make([]plan.Emb, len(roots)),
+		Nodes:      make([]plan.Node, n),
 	}
-	// Every compiled node, and every child pointer, comes from one slab
-	// sized by the embedding node count (pruned subtrees leave it short).
-	n := 0
-	for _, r := range roots {
-		n += countEmbNodes(r) // the virtual root compiles too
-	}
-	nodes := make([]plan.Node, n)
-	pc := planCompiler{sk: sk, s: s, prog: p, est: estimator{sk: sk},
-		nodes: nodes, kids: make([]*plan.Node, n)}
-	for _, r := range roots {
+	pc := planCompiler{sk: sk, s: s, prog: p, est: estimator{sk: sk}, next: len(roots)}
+	for i, r := range roots {
 		pc.est.condSet = s.condSet[:0]
 		pc.est.scan(r)
 		s.condSet = pc.est.condSet
-		root := pc.node(r, false)
-		p.Embeddings = append(p.Embeddings, plan.Emb{
+		pc.node(i, r, false)
+		p.Embeddings[i] = plan.Emb{
 			Base: float64(sk.Syn.Node(r.Syn).Count()),
-			Root: root,
-		})
+			Root: &p.Nodes[i],
+		}
 	}
-	ownLists(nodes[:p.NumNodes])
+	p.Nodes = p.Nodes[:pc.next]
+	p.NumNodes = pc.next
+	p.Ints = own(s.ints)
+	p.Uses = own(s.uses)
 	return p
 }
 
-// ownLists moves the compiled nodes' index and use lists out of the
-// compile scratch into two arrays of their own, leaving empty lists nil.
-func ownLists(nodes []plan.Node) {
-	ni, nu := 0, 0
-	for i := range nodes {
-		pn := &nodes[i]
-		ni += len(pn.DDims) + len(pn.DSlots) + len(pn.CovDims) + len(pn.CovSlots)
-		nu += len(pn.Uses)
-	}
-	ints := make([]int, ni)
-	uses := make([]plan.Use, nu)
-	for i := range nodes {
-		pn := &nodes[i]
-		pn.DDims, ints = own(pn.DDims, ints)
-		pn.DSlots, ints = own(pn.DSlots, ints)
-		pn.CovDims, ints = own(pn.CovDims, ints)
-		pn.CovSlots, ints = own(pn.CovSlots, ints)
-		pn.Uses, uses = own(pn.Uses, uses)
-	}
-}
-
-// own copies list l to the front of dst, returning the copy (nil when l
-// is empty) and the rest of dst.
-func own[T any](l, dst []T) ([]T, []T) {
+// own copies a scratch list into memory of the program's own, or returns
+// nil for an empty list.
+func own[T any](l []T) []T {
 	if len(l) == 0 {
-		return nil, dst
+		return nil
 	}
-	n := copy(dst, l)
-	return dst[:n:n], dst[n:]
-}
-
-// internTags resolves every distinct step label of the query (including
-// branch predicates) to its document tag ID, sorted by label for
-// deterministic plan rendering. The distinct labels are gathered in
-// scratch and sorted once.
-func (sk *Sketch) internTags(s *compileScratch, q *twig.Query) []plan.Tag {
-	if q.Root != nil {
-		s.labels = appendLabels(s.labels, q.Root)
-	}
-	slices.Sort(s.labels)
-	tags := make([]plan.Tag, len(s.labels))
-	for i, label := range s.labels {
-		tags[i] = plan.Tag{Label: label, ID: -1}
-		if tag, ok := sk.Syn.Doc.LookupTag(label); ok {
-			tags[i].ID = int(tag)
-		}
-	}
-	return tags
-}
-
-// appendLabels appends the step labels of the twig subtree at n that
-// labels does not hold yet.
-func appendLabels(labels []string, n *twig.Node) []string {
-	if n.Path != nil {
-		labels = appendStepLabels(labels, n.Path.Steps)
-	}
-	for _, c := range n.Children {
-		labels = appendLabels(labels, c)
-	}
-	return labels
-}
-
-// appendStepLabels appends the new labels of steps and their branches.
-func appendStepLabels(labels []string, steps []*pathexpr.Step) []string {
-	for _, st := range steps {
-		if !slices.Contains(labels, st.Label) {
-			labels = append(labels, st.Label)
-		}
-		for _, br := range st.Branches {
-			labels = appendStepLabels(labels, br.Steps)
-		}
-	}
-	return labels
+	return append([]T(nil), l...)
 }
 
 // binding is one compile-time scope-edge binding: the slot that carries
@@ -396,15 +324,14 @@ type binding struct {
 // scope edge expanded by an enumerating ancestor to the slot that will
 // carry the bucket's coordinate at execution time, innermost last, pushed
 // and popped around a node's subtree like the interpreter's per-bucket
-// set/delete. nodes and kids are the program's node and child-pointer
-// slabs, consumed front to back.
+// set/delete. next is the first free position of the program's node slab:
+// a node reserves one run for all its children before compiling them.
 type planCompiler struct {
-	sk    *Sketch
-	s     *compileScratch
-	est   estimator
-	prog  *plan.Program
-	nodes []plan.Node
-	kids  []*plan.Node
+	sk   *Sketch
+	s    *compileScratch
+	est  estimator
+	prog *plan.Program
+	next int
 }
 
 // slotOf returns the slot bound to a scope edge by the innermost
@@ -419,26 +346,18 @@ func (pc *planCompiler) slotOf(se ScopeEdge) (int, bool) {
 	return 0, false
 }
 
-// takeKids reserves room for n child pointers from the slab, as an empty
-// slice with capacity n.
-func (pc *planCompiler) takeKids(n int) []*plan.Node {
-	k := pc.kids[:0:n]
-	pc.kids = pc.kids[n:]
-	return k
-}
-
-// node compiles one embedding node, mirroring the interpreter's contrib
-// (estimate.go) decision for decision: the same predicate factors in the
-// same multiplication order, the same covered/uncovered split, the same
-// needEnum criterion, and the same early zero cutoffs — except that
-// everything depending only on (query shape, sketch state) is evaluated
-// now and stored.
+// node compiles one embedding node into the program's node at position
+// at, mirroring the interpreter's contrib (estimate.go) decision for
+// decision: the same predicate factors in the same multiplication order,
+// the same covered/uncovered split, the same needEnum criterion, and the
+// same early zero cutoffs — except that everything depending only on
+// (query shape, sketch state) is evaluated now and stored.
 //
 // The node's uses and index lists are appended to the scratch lists and
-// complete before its children compile, so each is one run of a scratch
-// list that later appends leave alone (or, once a list regrows, a run of
-// its old array); ownLists copies them out.
-func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
+// complete before its children compile, so each is one run that later
+// appends leave alone; a node that compiles to ModeZero takes its runs
+// back.
+func (pc *planCompiler) node(at int, n *EmbNode, skipSelfValue bool) {
 	sk, sc := pc.sk, pc.s
 	s := sk.Summaries[n.Syn]
 	var scope []ScopeEdge
@@ -448,7 +367,7 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		vdims = s.ValueDims
 	}
 
-	usesAt := len(sc.uses)
+	usesAt, intsAt := len(sc.uses), len(sc.ints)
 	factor := 1.0
 	if n.Value != nil && !skipSelfValue {
 		if idx := valueDimIdx(s, n.Syn); idx >= 0 {
@@ -466,17 +385,23 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 		factor *= v
 	}
 
-	pn := &pc.nodes[0] // zeroed by make
-	pc.nodes = pc.nodes[1:]
-	pn.Syn, pn.Index, pn.Factor, pn.UncBase = int(n.Syn), pc.prog.NumNodes, factor, 1
-	pc.prog.NumNodes++
+	pn := &pc.prog.Nodes[at] // zeroed by make
+	pn.Index, pn.Factor, pn.UncBase = int32(at), factor, 1
+	// zero makes pn a ModeZero node, whose Factor is its constant 0, and
+	// gives back the runs and conditioning values it took.
+	dvalsAt := pc.prog.DValsLen
+	zero := func() {
+		sc.uses, sc.ints = sc.uses[:usesAt], sc.ints[:intsAt]
+		pc.prog.DValsLen = dvalsAt
+		*pn = plan.Node{Index: pn.Index, Mode: plan.ModeZero}
+	}
 	if factor == 0 {
-		pn.Mode = plan.ModeZero
-		return pn
+		zero()
+		return
 	}
 	if len(n.Children) == 0 && len(sc.uses) == usesAt {
 		pn.Mode = plan.ModeLeaf
-		return pn
+		return
 	}
 
 	// Constant capacities keep the split lists on the stack for the usual
@@ -497,24 +422,26 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 			uncovered = append(uncovered, cc)
 		}
 	}
-	uses := sc.uses[usesAt:len(sc.uses):len(sc.uses)]
+	pn.Uses, pn.NumUses = int32(usesAt), int32(len(sc.uses)-usesAt)
 
 	// D_i: scope dims bound by enumerating ancestors, read off the
 	// compile-time environment in scope order (the interpreter reads its
-	// assignment map in the same order).
-	dimsAt, slotsAt := len(sc.dims), len(sc.slots)
+	// assignment map in the same order), then the slot of each.
 	for i, se := range scope {
-		if slot, ok := pc.slotOf(se); ok {
-			sc.dims = append(sc.dims, i)
-			sc.slots = append(sc.slots, slot)
+		if _, ok := pc.slotOf(se); ok {
+			sc.ints = append(sc.ints, i)
 		}
 	}
-	pn.DDims = sc.dims[dimsAt:len(sc.dims):len(sc.dims)]
-	pn.DSlots = sc.slots[slotsAt:len(sc.slots):len(sc.slots)]
-	pn.DOff = pc.prog.DValsLen
-	pc.prog.DValsLen += len(pn.DDims)
+	nd := len(sc.ints) - intsAt
+	for k := intsAt; k < intsAt+nd; k++ {
+		slot, _ := pc.slotOf(scope[sc.ints[k]])
+		sc.ints = append(sc.ints, slot)
+	}
+	pn.Ints, pn.NumD = int32(intsAt), int32(nd)
+	pn.DOff = int32(pc.prog.DValsLen)
+	pc.prog.DValsLen += nd
 
-	needEnum := len(uses) > 0
+	needEnum := pn.NumUses > 0
 	for _, cc := range covered {
 		if pc.est.conditioned(scope[cc.dim]) {
 			needEnum = true
@@ -528,70 +455,65 @@ func (pc *planCompiler) node(n *EmbNode, skipSelfValue bool) *plan.Node {
 	}
 	pn.UncBase = unc
 	if unc == 0 {
-		pn.Mode = plan.ModeZero
-		return pn
+		zero()
+		return
 	}
-	pn.Uses = uses
 
 	if !needEnum {
 		if len(covered) > 0 {
 			if s == nil || s.Hist == nil {
-				pn.Mode = plan.ModeZero
-				return pn
+				zero()
+				return
 			}
 			pn.Hist = s.Hist
-			pn.CovDims = pc.covDims(covered)
+			pc.covDims(covered)
 		}
 		pn.Mode = plan.ModeFactorized
 		pc.children(pn, covered, uncovered)
-		return pn
+		return
 	}
 
 	if s == nil || s.Hist == nil {
-		pn.Mode = plan.ModeZero
-		return pn
+		zero()
+		return
 	}
 	pn.Mode = plan.ModeEnumerated
 	pn.Hist = s.Hist
-	pn.CovDims = pc.covDims(covered)
+	pc.covDims(covered)
 	// Bind this node's expanded dims to fresh slots for the subtree, then
 	// pop the bindings, uncovering any outer binding of the same edge —
 	// the lexical image of the interpreter's copied-and-extended
 	// assignment map.
-	slotsAt = len(sc.slots)
 	envAt := len(sc.env)
 	for _, cc := range covered {
 		slot := pc.prog.NumSlots
 		pc.prog.NumSlots++
-		sc.slots = append(sc.slots, slot)
+		sc.ints = append(sc.ints, slot)
 		sc.env = append(sc.env, binding{edge: scope[cc.dim], slot: slot})
 	}
-	pn.CovSlots = sc.slots[slotsAt:len(sc.slots):len(sc.slots)]
 	pc.children(pn, covered, uncovered)
 	sc.env = sc.env[:envAt]
-	return pn
 }
 
 // covDims appends the covered children's scope dimensions to the scratch
-// list and returns them.
-func (pc *planCompiler) covDims(covered []coveredChild) []int {
-	sc := pc.s
-	at := len(sc.dims)
+// index list.
+func (pc *planCompiler) covDims(covered []coveredChild) {
 	for _, cc := range covered {
-		sc.dims = append(sc.dims, cc.dim)
+		pc.s.ints = append(pc.s.ints, cc.dim)
 	}
-	return sc.dims[at:len(sc.dims):len(sc.dims)]
 }
 
-// children compiles pn's covered then uncovered children, in child order,
-// into child lists reserved from the slab before recursing.
+// children reserves one run of the node slab for pn's covered then
+// uncovered children, in child order, and compiles them into it.
 func (pc *planCompiler) children(pn *plan.Node, covered, uncovered []coveredChild) {
-	pn.Covered = pc.takeKids(len(covered))
-	pn.Uncovered = pc.takeKids(len(uncovered))
-	for _, cc := range covered {
-		pn.Covered = append(pn.Covered, pc.node(cc.child, cc.skip))
+	at := pc.next
+	pc.next += len(covered) + len(uncovered)
+	pn.Kids, pn.NumCov, pn.NumUnc = int32(at), int32(len(covered)), int32(len(uncovered))
+	for i, cc := range covered {
+		pc.node(at+i, cc.child, cc.skip)
 	}
-	for _, cc := range uncovered {
-		pn.Uncovered = append(pn.Uncovered, pc.node(cc.child, cc.skip))
+	at += len(covered)
+	for i, cc := range uncovered {
+		pc.node(at+i, cc.child, cc.skip)
 	}
 }

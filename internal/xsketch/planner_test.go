@@ -15,7 +15,7 @@ import (
 // mode: the Bibliography sketch exercises factorized and enumerated shapes
 // (backward scope conditions, branch predicates), and the typed-movie
 // sketches exercise value-dimension uses (self, branch, covered child).
-func plannerFixtures(t *testing.T) map[string]*Sketch {
+func plannerFixtures(t testing.TB) map[string]*Sketch {
 	t.Helper()
 	bib := New(xmltree.Bibliography(), exactConfig())
 
@@ -71,6 +71,39 @@ func TestPlannedBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPlanMatchesInterpreter checks compiled plans against the
+// interpreter on arbitrary query texts: on both planner fixtures, any text
+// twig.Parse accepts must plan through PlanQueryText and estimate
+// Float64bits-equal to EstimateQueryResult, truncation flag included. The
+// seeds are the fixture queries. Run with:
+//
+//	go test -fuzz '^FuzzPlanMatchesInterpreter$' -fuzztime 10s -run '^$' ./internal/xsketch
+func FuzzPlanMatchesInterpreter(f *testing.F) {
+	fixtures := plannerFixtures(f)
+	for _, name := range []string{"bib", "movies"} {
+		for _, qs := range plannerFixtureQueries[name] {
+			f.Add(qs)
+		}
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		q, err := twig.Parse(text)
+		if err != nil {
+			return
+		}
+		for _, name := range []string{"bib", "movies"} {
+			sk := fixtures[name]
+			got, err := estimatePlanned(sk, text)
+			if err != nil {
+				t.Fatalf("%s: %q parses but does not plan: %v", name, text, err)
+			}
+			want := sk.EstimateQueryResult(q)
+			if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) || got.Truncated != want.Truncated {
+				t.Fatalf("%s: %q: planned %+v != interpreted %+v", name, text, got, want)
+			}
+		}
+	})
 }
 
 // TestPlannedNormalizedSpellingsShareOnePlan asserts whitespace variants of
@@ -383,33 +416,6 @@ func TestPlanCacheLRUInSketch(t *testing.T) {
 	st := sk.PlanCacheStats()
 	if st.Size != 2 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v, want size 2 / 1 eviction", st)
-	}
-}
-
-// TestProgramTagsInterned asserts compilation interns every step label of
-// the query, including branch predicates, resolving document tags.
-func TestProgramTagsInterned(t *testing.T) {
-	sk := New(xmltree.Bibliography(), exactConfig())
-	p, err := sk.PlanQueryText("t0 in author[/name=2], t1 in t0/paper, t2 in t1/nosuch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLabel := map[string]int{}
-	for _, tag := range p.Tags {
-		byLabel[tag.Label] = tag.ID
-	}
-	for _, label := range []string{"author", "name", "paper", "nosuch"} {
-		id, ok := byLabel[label]
-		if !ok {
-			t.Fatalf("label %q not interned (tags: %v)", label, p.Tags)
-		}
-		if label == "nosuch" {
-			if id != -1 {
-				t.Fatalf("unknown label %q resolved to %d", label, id)
-			}
-		} else if id < 0 {
-			t.Fatalf("document label %q unresolved", label)
-		}
 	}
 }
 

@@ -26,7 +26,7 @@ func bibSketch(t *testing.T) *Sketch {
 	return sk
 }
 
-func synNode(t *testing.T, sk *Sketch, tag string) graphsyn.NodeID {
+func synNode(t testing.TB, sk *Sketch, tag string) graphsyn.NodeID {
 	t.Helper()
 	id, ok := sk.Syn.Doc.LookupTag(tag)
 	if !ok {
